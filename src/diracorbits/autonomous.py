@@ -86,7 +86,8 @@ class OrbitSpec:
     energy: float
 
 
-def hamiltonian(params: AutonomousParams, u: float, v: float) -> float:
+def hamiltonian(params: AutonomousParams, u, v):
+    """H(u, v); numpy-broadcast over u and v."""
     m = params.m
     z = u * u + v * v
     return -params.lam * u * v + (m - 1) / (2 * m) * z ** (m / (m - 1))
@@ -282,7 +283,7 @@ def periodic_orbit_trajectory(
     s0, s1, eta, z_of_time = _orbit_interpolant(params, K)
     t_grid = np.linspace(t_span[0], t_span[1], n_samples)
     states = _orbit_states(params, K, s0, s1, eta, z_of_time, t_grid)
-    energy = np.array([hamiltonian(params, ui, vi) for ui, vi in states])
+    energy = hamiltonian(params, states[:, 0], states[:, 1])
     return Trajectory(t_grid, states, energy, terminal_reason="reconstructed")
 
 
@@ -303,7 +304,7 @@ def orbit_reconstruct(
     s0, s1, eta, z_of_time = _orbit_interpolant(params, K)
     t_grid = np.linspace(0.0, 2 * eta, n_samples)
     states = _orbit_states(params, K, s0, s1, eta, z_of_time, t_grid)
-    energy = np.array([hamiltonian(params, ui, vi) for ui, vi in states])
+    energy = hamiltonian(params, states[:, 0], states[:, 1])
 
     n_half = (n_samples + 1) // 2
     spec = OrbitSpec(

@@ -19,7 +19,7 @@ from . import ansatz as ans
 from . import autonomous as aut
 from . import dissipative as dis
 from .clifford import DimensionTooLarge, build_rep, rep_to_json_dict, verify_rep
-from .numerics import Tolerances, integrate
+from .numerics import IntegrationError, NonConvergence, integrate
 from .serialize import write_csv, write_json
 from .svg import render_figure
 
@@ -384,7 +384,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mu-lo", dest="mu_lo", type=float, default=None)
     p.add_argument("--mu-hi", dest="mu_hi", type=float, default=None)
     p.add_argument("--T", type=float, default=None, help="rescaled horizon")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="deprecated and ignored: sweep lanes are solved together")
     p.add_argument("--grid", default=None, help="comma-separated mu values")
     p.add_argument("--mu-start", dest="mu_start", type=float, default=None)
     p.add_argument("--mu-stop", dest="mu_stop", type=float, default=None)
@@ -417,7 +418,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, IntegrationError,
+            NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ Backward time is never integrated; the symmetry u(-t) = v(t) supplies it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,12 +97,13 @@ class ShootingOutcome:
         }
 
 
-def hamiltonian_t(params: DissipativeParams, t: float, u: float, v: float) -> float:
+def hamiltonian_t(params: DissipativeParams, t, u, v):
+    """H(t, u, v); numpy-broadcast over t, u and v."""
     m = params.m
     z = u * u + v * v
     return (
         -params.kappa * u * v
-        + (m - 1) / (2 * m) * math.cosh(t) ** (-1 / (m - 1)) * z ** (m / (m - 1))
+        + (m - 1) / (2 * m) * np.cosh(t) ** (-1 / (m - 1)) * z ** (m / (m - 1))
     )
 
 
@@ -137,16 +138,8 @@ def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9)
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
     vals = traj.u if component == "u" else traj.v
-    count = 0
-    last_sign = 0
-    for x in vals:
-        if abs(x) <= deadband:
-            continue
-        s = 1 if x > 0 else -1
-        if last_sign != 0 and s != last_sign:
-            count += 1
-        last_sign = s
-    return count
+    signs = np.sign(vals[np.abs(vals) > deadband])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def _tail_decay_exponent(traj: Trajectory, window: float = 5.0) -> float | None:
@@ -190,6 +183,13 @@ def shoot(
         if traj is None or len(traj) < 2:
             raise
 
+    return _classify(params, mu, traj, thresholds)
+
+
+def _classify(
+    params: DissipativeParams, mu: float, traj: Trajectory, thresholds: Thresholds
+) -> ShootingOutcome:
+    """The classification rules of ``shoot`` applied to one lane's samples."""
     k = sign_changes(traj, "v", thresholds.deadband)
     t_end = float(traj.t[-1])
     H_tail = float(traj.energy[-1])
@@ -202,17 +202,14 @@ def shoot(
 
     if first_nonpositive is not None:
         cls = "A"
-        envelope = slope
     elif (
         z_final < thresholds.decay_threshold
         and slope is not None
         and abs(slope + (params.m - 2)) <= thresholds.fit_tol * (params.m - 2)
     ):
         cls = "I-candidate"
-        envelope = slope
     else:
         cls = "undetermined"
-        envelope = slope
 
     return ShootingOutcome(
         mu=mu,
@@ -220,7 +217,7 @@ def shoot(
         cls=cls,
         t_end=t_end,
         H_tail=H_tail,
-        envelope=envelope,
+        envelope=slope,
         first_nonpositive_H=first_nonpositive,
         trajectory=traj,
     )
@@ -340,12 +337,6 @@ def envelope_check(
     }
 
 
-def _sweep_one(args) -> ShootingOutcome:
-    params, mu, t_max, thresholds = args
-    out = shoot(params, mu, t_max, thresholds)
-    return replace(out, trajectory=None)
-
-
 def classify_sweep(
     params: DissipativeParams,
     mu_grid,
@@ -353,16 +344,31 @@ def classify_sweep(
     thresholds: Thresholds = Thresholds(),
     jobs: int = 1,
 ) -> list[ShootingOutcome]:
-    """Independent shoot() per grid value; result sorted by mu."""
+    """Classify every grid value as ``shoot`` does; result in grid order.
+
+    All lanes are integrated together as one stacked system, so the step
+    sizes are shared and each lane's floats differ slightly from a lone
+    ``shoot``. If the stacked solve fails, each lane is shot on its own.
+    ``jobs`` is deprecated and ignored: the stacked solve is already
+    faster than a process pool, and its output does not depend on it.
+    """
+    if jobs != 1:
+        warnings.warn("classify_sweep(jobs=...) is deprecated and ignored",
+                      DeprecationWarning, stacklevel=2)
     mus = [float(mu) for mu in mu_grid]
     if any(mu <= 0 for mu in mus):
         raise ValueError("mu grid must be positive")
     if sorted(mus) != mus:
         raise ValueError("mu grid must be increasing")
-    work = [(params, mu, t_max, thresholds) for mu in mus]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, work))
-    else:
-        results = [_sweep_one(w) for w in work]
-    return sorted(results, key=lambda o: o.mu)
+    if not mus:
+        return []
+    try:
+        traj = integrate(time_field(params), np.array([mus, mus]), (0.0, t_max),
+                         n_samples=4001, energy=energy_fn(params))
+    except IntegrationError:
+        return [replace(shoot(params, mu, t_max, thresholds), trajectory=None) for mu in mus]
+    outcomes = []
+    for i, mu in enumerate(mus):
+        lane = Trajectory(traj.t, traj.states[:, :, i], traj.energy[:, i])
+        outcomes.append(replace(_classify(params, mu, lane, thresholds), trajectory=None))
+    return outcomes

@@ -1,8 +1,8 @@
 """Shared numeric kernels.
 
-Adaptive embedded Runge-Kutta integration for planar fields, bracketed
-root finding, and Gauss-Chebyshev quadrature for integrands carrying an
-inverse-square-root singularity at both endpoints of [0, 1].
+DOP853 integration of planar fields, one state or many lanes at once,
+bracketed root finding, and Gauss-Chebyshev quadrature for integrands
+carrying an inverse-square-root singularity at both endpoints of [0, 1].
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ class Tolerances:
 class Trajectory:
     """Uniformly resampled solution of a planar ODE.
 
-    ``states`` has shape (n, 2); ``energy`` holds the governing Hamiltonian
-    recomputed at each sample (NaN when no energy callback was supplied).
+    ``states`` has shape (n, 2), or (n, 2, lanes) for a stacked solve, so
+    ``u`` and ``v`` have shape (n,) or (n, lanes); ``energy`` holds the
+    governing Hamiltonian recomputed at each sample (NaN when no energy
+    callback was supplied).
     """
 
     t: np.ndarray
@@ -96,59 +98,6 @@ class Trajectory:
         return len(self.t)
 
 
-# Dormand-Prince 5(4) coefficients.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
-def _eval_field(field_fn: PlanarField, t: float, u: float, v: float) -> tuple[float, float]:
-    try:
-        fu, fv = field_fn(t, u, v)
-    except OverflowError:
-        return math.inf, math.inf
-    return fu, fv
-
-
-def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> tuple[float, float]:
-    h = t1 - t0
-    s = (t - t0) / h
-    h00 = (1 + 2 * s) * (1 - s) ** 2
-    h10 = s * (1 - s) ** 2
-    h01 = s * s * (3 - 2 * s)
-    h11 = s * s * (s - 1)
-    return (
-        h00 * y0[0] + h * h10 * f0[0] + h01 * y1[0] + h * h11 * f1[0],
-        h00 * y0[1] + h * h10 * f0[1] + h01 * y1[1] + h * h11 * f1[1],
-    )
-
-
-def _resample(
-    nodes_t: list[float],
-    nodes_y: list[tuple[float, float]],
-    nodes_f: list[tuple[float, float]],
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    out = np.empty((len(t_grid), 2))
-    j = 0
-    last = len(nodes_t) - 1
-    for i, t in enumerate(t_grid):
-        while j < last - 1 and t > nodes_t[j + 1]:
-            j += 1
-        out[i] = _hermite(
-            t, nodes_t[j], nodes_t[j + 1], nodes_y[j], nodes_y[j + 1], nodes_f[j], nodes_f[j + 1]
-        )
-    return out
-
-
 def integrate(
     field: PlanarField,
     y0: Sequence[float],
@@ -157,117 +106,100 @@ def integrate(
     n_samples: int = 1001,
     energy: EnergyFn | None = None,
 ) -> Trajectory:
-    """Integrate a planar field with an embedded Dormand-Prince 5(4) pair.
+    """Integrate a planar field with scipy's DOP853 (Dormand-Prince 8(5,3)).
 
-    Accepted steps are resampled onto a uniform grid of ``n_samples`` points
-    by cubic Hermite interpolation. ``energy``, when given, is evaluated at
-    every resampled state and stored on the trajectory.
+    ``y0`` is one state (u, v) or a (2, n) array of n independent lanes,
+    solved together as one 2n-dimensional system; ``field(t, u, v)`` then
+    receives u and v as arrays of length n. Steps are controlled per step
+    with rtol = ``tol.rel_tol`` and atol = ``tol.abs_tol``. Samples on a
+    uniform grid of ``n_samples`` points come from the solver's dense
+    output. ``energy(t, u, v)``, when given, is called once on the sample
+    arrays and stored on the trajectory.
 
-    Raises StepLimitExceeded or NonFiniteState; both carry the trajectory
-    built from the steps accepted so far.
+    Raises StepLimitExceeded after ``tol.max_steps`` step attempts, and
+    NonFiniteState when the state turns non-finite or the step size
+    collapses (as at a finite-time blow-up); both carry the grid samples
+    reached so far merged with the ends of the accepted steps.
     """
+    from scipy.integrate import DOP853
+
     t0, t1 = float(t_span[0]), float(t_span[1])
+    y0 = np.asarray(y0, dtype=float)
+    if not (math.isfinite(t0) and math.isfinite(t1) and np.all(np.isfinite(y0))):
+        raise ValueError("t_span and y0 must be finite")
     if not t1 > t0:
         raise ValueError("t_span must be a nonempty forward interval")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if y0.ndim not in (1, 2) or y0.shape[0] != 2:
+        raise ValueError("y0 must have shape (2,) or (2, n)")
+    shape = y0.shape
 
-    u, v = float(y0[0]), float(y0[1])
-    fu, fv = _eval_field(field, t0, u, v)
-    if not (math.isfinite(fu) and math.isfinite(fv)):
-        raise NonFiniteState("field non-finite at initial state")
-
-    nodes_t = [t0]
-    nodes_y = [(u, v)]
-    nodes_f = [(fu, fv)]
-
-    span = t1 - t0
-    scale0 = tol.abs_tol + tol.rel_tol * max(abs(u), abs(v), 1.0)
-    fmag = max(abs(fu), abs(fv), 1e-12)
-    h = min(span, max(1e-12, 0.01 * (scale0 / fmag) ** 0.2, 1e-6 * span))
-
-    t = t0
-    accepted = 0
-    rejected = 0
-    reason = "completed"
-
-    def partial() -> Trajectory:
-        tg = np.asarray(nodes_t)
-        ys = np.asarray(nodes_y)
-        en = _energies(energy, tg, ys)
-        return Trajectory(tg, ys, en, accepted, rejected, reason)
-
-    while t < t1:
-        if accepted + rejected >= tol.max_steps:
-            reason = "step_limit"
-            raise StepLimitExceeded("max_steps exceeded", partial())
-        h = min(h, t1 - t)
-
-        ks = [(fu, fv)]
-        bad = False
-        for i in range(1, 6):
-            ui = u + h * sum(a * ks[m][0] for m, a in enumerate(_DP_A[i]))
-            vi = v + h * sum(a * ks[m][1] for m, a in enumerate(_DP_A[i]))
-            kfu, kfv = _eval_field(field, t + _DP_C[i] * h, ui, vi)
-            if not (math.isfinite(kfu) and math.isfinite(kfv)):
-                bad = True
-                break
-            ks.append((kfu, kfv))
-
-        if not bad:
-            u5 = u + h * sum(b * ks[m][0] for m, b in enumerate(_DP_B5))
-            v5 = v + h * sum(b * ks[m][1] for m, b in enumerate(_DP_B5))
-            k7u, k7v = _eval_field(field, t + h, u5, v5)  # FSAL stage
-            bad = not (math.isfinite(u5) and math.isfinite(v5)
-                       and math.isfinite(k7u) and math.isfinite(k7v))
-
-        if bad:
-            rejected += 1
-            h *= 0.25
-            if h < 1e-14 * max(abs(t), 1.0) + 1e-300:
-                reason = "non_finite"
-                raise NonFiniteState("state or field became non-finite", partial())
-            continue
-
-        k_all = ks + [(k7u, k7v)]
-        e_u = h * sum((b5 - b4) * k_all[m][0]
-                      for m, (b5, b4) in enumerate(zip(_DP_B5 + (0.0,), _DP_B4)))
-        e_v = h * sum((b5 - b4) * k_all[m][1]
-                      for m, (b5, b4) in enumerate(zip(_DP_B5 + (0.0,), _DP_B4)))
-        sc_u = tol.abs_tol + tol.rel_tol * max(abs(u), abs(u5))
-        sc_v = tol.abs_tol + tol.rel_tol * max(abs(v), abs(v5))
-        # error-per-unit-step control keeps the accumulated drift near the
-        # requested tolerance regardless of the step count
-        err = math.sqrt(0.5 * ((e_u / sc_u) ** 2 + (e_v / sc_v) ** 2)) / max(h, 1e-12)
-
-        if err <= 1.0:
-            accepted += 1
-            t += h
-            u, v = u5, v5
-            fu, fv = k7u, k7v
-            nodes_t.append(t)
-            nodes_y.append((u, v))
-            nodes_f.append((fu, fv))
-        else:
-            rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
+    def rhs(t, y):
+        f = np.empty(shape)
+        try:
+            # one lane runs on Python floats, several on numpy arrays
+            f[0], f[1] = field(t, *(y.reshape(shape) if y0.ndim == 2 else y.tolist()))
+        except OverflowError:
+            f[:] = np.inf
+        return f.ravel()
 
     t_grid = np.linspace(t0, t1, n_samples)
-    if len(nodes_t) == 1:  # degenerate zero-length span already excluded
-        states = np.tile(nodes_y[0], (n_samples, 1))
-    else:
-        states = _resample(nodes_t, nodes_y, nodes_f, t_grid)
-        states[0] = nodes_y[0]
-        states[-1] = nodes_y[-1]
-    en = _energies(energy, t_grid, states)
-    return Trajectory(t_grid, states, en, accepted, rejected, reason)
+    states = np.empty((n_samples,) + shape)
+    states[0] = y0
+    filled = 1
+    accepted = dense_calls = 0
+    node_t, node_y = [], []
+
+    def attempts() -> int:
+        # each step attempt costs n_stages evaluations, each dense output 3
+        return (solver.nfev - nfev0 - 3 * dense_calls) // solver.n_stages
+
+    def partial(reason: str) -> Trajectory:
+        # grid samples so far merged with the accepted step ends, so a
+        # coarse grid (a huge t_span) still shows the path to the failure
+        t = np.concatenate([t_grid[:filled], node_t])
+        ys = np.concatenate([states[:filled], np.reshape(node_y, (-1,) + shape)])
+        t, first = np.unique(t, return_index=True)
+        ys = ys[first]
+        return Trajectory(t, ys, _energies(energy, t, ys), accepted,
+                          attempts() - accepted, reason)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(rhs(t0, y0.ravel()))):
+            raise NonFiniteState("field non-finite at initial state")
+        solver = DOP853(rhs, t0, y0.ravel(), t1, rtol=tol.rel_tol, atol=tol.abs_tol)
+        nfev0 = solver.nfev
+        while solver.status == "running":
+            if attempts() >= tol.max_steps:
+                raise StepLimitExceeded("max_steps exceeded", partial("step_limit"))
+            message = solver.step()
+            if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
+                raise NonFiniteState(f"state or field became non-finite ({message})",
+                                     partial("non_finite"))
+            accepted += 1
+            node_t.append(solver.t)
+            node_y.append(solver.y)
+            if solver.status == "finished":
+                stop = n_samples - 1
+                states[-1] = solver.y.reshape(shape)
+            else:
+                stop = int(np.searchsorted(t_grid, solver.t, side="right"))
+            if stop > filled:
+                dense_calls += 1
+                ys = solver.dense_output()(t_grid[filled:stop])
+                states[filled:stop] = ys.T.reshape((-1,) + shape)
+                filled = stop
+        return Trajectory(t_grid, states, _energies(energy, t_grid, states), accepted,
+                          attempts() - accepted)
 
 
 def _energies(energy: EnergyFn | None, t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """One call of ``energy`` on the sample arrays; t is broadcast over lanes."""
     if energy is None:
-        return np.full(len(t), np.nan)
-    return np.array([energy(ti, s[0], s[1]) for ti, s in zip(t, states)])
+        return np.full(states.shape[:1] + states.shape[2:], np.nan)
+    t = t.reshape((-1,) + (1,) * (states.ndim - 2))
+    return np.asarray(energy(t, states[:, 0], states[:, 1]), dtype=float)
 
 
 def find_root(

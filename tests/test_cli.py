@@ -1,9 +1,14 @@
 """End-to-end command-line tests: exit codes, file formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diracorbits
 from diracorbits import cli
 from diracorbits.cli import main
 
@@ -59,6 +64,20 @@ def test_bad_flag_exit_1():
 def test_bad_value_exit_1():
     # K above the fold energy is a domain error, reported as exit 1
     assert run("autonomous", "period", "--m", "3", "--K", "99.0") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["dissipative", "shoot", "--m", "3", "--mu", "0.6", "--t-max", "inf"],
+    # half_period loses accuracy near K ~ 1e-14 K0: NonConvergence
+    ["autonomous", "bifurcation", "--m", "4", "--T", "8"],
+])
+def test_library_errors_exit_1_without_traceback(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "diracorbits.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

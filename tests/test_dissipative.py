@@ -137,6 +137,30 @@ def test_sign_changes_rescaled_limit():
     assert sign_changes(traj, "v", 1e-8) == 3
 
 
+def _sign_changes_loop(vals, deadband):
+    count, last = 0, 0
+    for x in vals:
+        if abs(x) <= deadband:
+            continue
+        s = 1 if x > 0 else -1
+        if last != 0 and s != last:
+            count += 1
+        last = s
+    return count
+
+
+@given(st.lists(st.sampled_from([-2.0, -1e-10, 0.0, 1e-10, 3.0, -5e-9, 5e-9]), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_sign_changes_matches_loop_reference(vals):
+    t = np.arange(len(vals), dtype=float)
+    traj = _traj_from_samples(t, np.zeros(len(vals)), vals)
+    if not vals:
+        with pytest.raises(ValueError):
+            sign_changes(traj, "v", 1e-9)
+        return
+    assert sign_changes(traj, "v", 1e-9) == _sign_changes_loop(vals, 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # shooting classification
 
@@ -187,6 +211,16 @@ def test_shoot_horizon_too_short_is_undetermined():
     # cannot classify it
     out = shoot(P3, 0.7071067812, t_max=0.5)
     assert out.cls == "undetermined"
+
+
+def test_shoot_huge_horizon_classifies_from_partial_trajectory():
+    # the field overflows near t = 710; the 4001-point grid over [0, 1e300]
+    # holds only t = 0 by then, so the class must come from the step ends
+    out = shoot(P3, 0.6, t_max=1e300)
+    assert out.trajectory.terminal_reason == "non_finite"
+    assert 700.0 < out.t_end < 720.0
+    assert (out.k, out.cls) == (0, "A")
+    assert 0.8 < out.first_nonpositive_H < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +424,49 @@ def test_sweep_parallel_deterministic():
     parallel = classify_sweep(P3, grid, jobs=4)
     for a, b in zip(serial, parallel):
         assert a.to_json_dict() == b.to_json_dict()
+
+
+@pytest.mark.parametrize("m, grid", [
+    (3, [0.4, 0.6, 1.0, 1.3, 1.9, 2.2, 2.8, 3.1]),
+    (4, [0.8, 1.1, 1.8, 2.3, 3.0, 3.8, 4.6, 5.5]),
+])
+def test_sweep_stacked_matches_single_shoots(m, grid):
+    # all lanes share one solve; each must classify as its own shoot does
+    params = DissipativeParams(m)
+    stacked = classify_sweep(params, grid)
+    single = [shoot(params, mu) for mu in grid]
+    assert {o.k for o in stacked} == {0, 1, 2, 3}
+    for a, b in zip(stacked, single):
+        assert (a.mu, a.k, a.cls, a.t_end) == (b.mu, b.k, b.cls, b.t_end)
+        assert abs(a.H_tail - b.H_tail) <= 1e-6 * abs(b.H_tail)
+        assert a.trajectory is None
+
+
+def test_sweep_one_lane_equals_shoot():
+    # one lane takes the same steps as shoot; numpy's array and scalar
+    # power may still differ in the last bit of a field evaluation
+    for mu in (0.6, 0.8397, 2.7736):
+        a = classify_sweep(P3, [mu])[0].to_json_dict()
+        b = shoot(P3, mu).to_json_dict()
+        for key in ("mu", "k", "class", "t_end", "first_nonpositive_H"):
+            assert a[key] == b[key]
+        for key in ("H_tail", "envelope"):
+            assert abs(a[key] - b[key]) <= 1e-12 * abs(b[key])
+
+
+def test_sweep_falls_back_to_single_shoots(monkeypatch):
+    import diracorbits.dissipative as dis
+    from diracorbits.numerics import StepLimitExceeded
+
+    def stacked_fails(field, y0, *args, **kwargs):
+        if np.ndim(y0) == 2:
+            raise StepLimitExceeded("stacked solve refused")
+        return integrate(field, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dis, "integrate", stacked_fails)
+    grid = [0.6, 1.0]
+    outs = classify_sweep(P3, grid, t_max=30.0)
+    for out, mu in zip(outs, grid):
+        ref = shoot(P3, mu, t_max=30.0)
+        assert out.to_json_dict() == ref.to_json_dict()
+        assert out.trajectory is None

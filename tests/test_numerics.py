@@ -72,8 +72,30 @@ def test_step_limit_carries_partial_trajectory():
 
 def test_nonfinite_blowup_detected():
     # u' = u^2 blows up at t = 1 from u(0) = 1
-    with pytest.raises((NonFiniteState, StepLimitExceeded)):
+    with pytest.raises(NonFiniteState):
         integrate(lambda t, u, v: (u * u, 0.0), (1.0, 0.0), (0.0, 2.0))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("u0", [0.5, 1.0, 2.0])
+def test_blowup_ends_at_closed_form_time(p, u0):
+    # u' = u^p from u0 blows up at t* = 1/((p-1) u0^(p-1))
+    t_star = 1.0 / ((p - 1) * u0 ** (p - 1))
+    with pytest.raises(NonFiniteState) as exc:
+        integrate(lambda t, u, v: (u**p, 0.0), (u0, 0.0), (0.0, 2 * t_star))
+    traj = exc.value.trajectory
+    assert traj.terminal_reason == "non_finite"
+    assert abs(traj.t[-1] - t_star) <= 1e-3 * t_star
+
+
+@pytest.mark.parametrize(
+    "y0, t_span",
+    [((1.0, 0.0), (0.0, math.inf)), ((1.0, 0.0), (math.nan, 1.0)),
+     ((math.nan, 0.0), (0.0, 1.0)), ((1.0, math.inf), (0.0, 1.0))],
+)
+def test_nonfinite_input_rejected(y0, t_span):
+    with pytest.raises(ValueError):
+        integrate(lambda t, u, v: (v, -u), y0, t_span)
 
 
 def test_find_root_sqrt2():
