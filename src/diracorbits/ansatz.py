@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .clifford import CliffordRep
+from .clifford import CliffordRep, dirac_apply_fd
 from .numerics import Trajectory
-from .serialize import write_csv
 
 __all__ = [
     "SpinorProfile",
@@ -36,7 +35,6 @@ __all__ = [
     "pde_residual",
     "decay_fit",
     "four_component_field",
-    "profile_to_csv",
 ]
 
 
@@ -232,12 +230,7 @@ def pde_residual(
             raise PointOutOfRange(
                 f"stencil around |x| = {r} leaves profile range [{r_lo}, {r_hi}]"
             )
-        dpsi = np.zeros(rep.dim, dtype=np.complex128)
-        for kk in range(dim):
-            e = np.zeros(dim)
-            e[kk] = h
-            dstep = (field(x + e) - field(x - e)) / (2 * h)
-            dpsi += rep.alphas[kk].to_complex() @ dstep
+        dpsi = dirac_apply_fd(rep, field, x, h)
         psi = field(x)
         hnl = 1.0 if kind == "autonomous" else (2 / (1 + r * r)) ** (1 / (m - 1))
         rhs = hnl * float(np.linalg.norm(psi)) ** (2 / (m - 1)) * psi
@@ -292,9 +285,3 @@ def four_component_field(m: int, t: float, state) -> tuple[float, float, float, 
         nl * v2 - kappa * u2,
         kappa * v2 - nl * u2,
     )
-
-
-def profile_to_csv(profile: SpinorProfile, path) -> None:
-    """CSV with header r,f1,f2,psi_abs, radii ascending, 17-digit floats."""
-    rows = zip(profile.r, profile.f1, profile.f2, profile.psi_abs)
-    write_csv(path, ["r", "f1", "f2", "psi_abs"], rows)

@@ -93,20 +93,21 @@ def hamiltonian(params: AutonomousParams, u, v):
     return -params.lam * u * v + (m - 1) / (2 * m) * z ** (m / (m - 1))
 
 
-def vector_field(params: AutonomousParams, state) -> tuple[float, float]:
-    u, v = state
-    z = u * u + v * v
-    nl = z ** (1 / (params.m - 1))
-    return nl * v - params.lam * u, params.lam * v - nl * u
-
-
 def time_field(params: AutonomousParams):
-    """Adapter with the (t, u, v) signature expected by numerics.integrate."""
+    """The field as ``field(t, u, v)`` for numerics.integrate; u, v may be arrays."""
+    lam = params.lam
+    e = 1 / (params.m - 1)
 
-    def field(t: float, u: float, v: float) -> tuple[float, float]:
-        return vector_field(params, (u, v))
+    def field(t, u, v):
+        z = u * u + v * v
+        nl = z ** e
+        return nl * v - lam * u, lam * v - nl * u
 
     return field
+
+
+def vector_field(params: AutonomousParams, state) -> tuple[float, float]:
+    return time_field(params)(0.0, *state)
 
 
 def energy_fn(params: AutonomousParams):
@@ -123,20 +124,19 @@ def equilibria(params: AutonomousParams) -> list[tuple[float, float]]:
     return [(0.0, 0.0), (c, c), (-c, -c)]
 
 
-def homoclinic(params: AutonomousParams, t: float) -> tuple[float, float]:
-    """The explicit zero-energy orbit through the first quadrant."""
+def homoclinic(params: AutonomousParams, t):
+    """The explicit zero-energy orbit through the first quadrant; numpy-broadcast over t."""
     m = params.m
     amp = m ** ((m - 1) / 2) / 2 ** (m / 2)
-    u = amp * math.exp(t / 2) / math.cosh(t) ** (m / 2)
-    v = amp * math.exp(-t / 2) / math.cosh(t) ** (m / 2)
-    return u, v
+    c = np.cosh(t) ** (m / 2)
+    return amp * np.exp(t / 2) / c, amp * np.exp(-t / 2) / c
 
 
-def homoclinic_derivative(params: AutonomousParams, t: float) -> tuple[float, float]:
-    """Analytic d/dt of the homoclinic pair."""
+def homoclinic_derivative(params: AutonomousParams, t):
+    """Analytic d/dt of the homoclinic pair; numpy-broadcast over t."""
     m = params.m
     u, v = homoclinic(params, t)
-    th = math.tanh(t)
+    th = np.tanh(t)
     return u * (0.5 - (m / 2) * th), v * (-0.5 - (m / 2) * th)
 
 
@@ -369,10 +369,13 @@ def solutions_count(
             if diff[i] == 0.0:
                 hits.append(float(grid[i]))
             elif diff[i] * diff[i + 1] < 0:
+                # eta' ~ -1/((m-1) K): a tolerance relative to K keeps
+                # eta(root) within ~1e-13/(m-1) of the target at every K
                 Kk = find_root(
                     lambda K, tgt=target: half_period(params, K) - tgt,
                     float(grid[i]),
                     float(grid[i + 1]),
+                    tol=1e-13 * float(grid[i]),
                 )
                 hits.append(Kk)
         if not hits:

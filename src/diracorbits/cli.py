@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,8 +20,8 @@ from . import ansatz as ans
 from . import autonomous as aut
 from . import dissipative as dis
 from .clifford import DimensionTooLarge, build_rep, rep_to_json_dict, verify_rep
-from .numerics import IntegrationError, NonConvergence, integrate
-from .serialize import write_csv, write_json
+from .numerics import IntegrationError, NonConvergence, Trajectory, integrate
+from .serialize import csv_text, dumps, write_csv, write_json
 from .svg import render_figure
 
 log = logging.getLogger("diracorbits")
@@ -45,22 +46,62 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _finite_float(text) -> float:
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _finite_floats(text) -> list[float]:
+    """argparse type of the comma-separated lists --grid and --h."""
+    return [_finite_float(s) for s in str(text).split(",") if s.strip()]
+
+
 def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset options from --config JSON, then from defaults."""
+    """Fill unset options from --config JSON, then from defaults.
+
+    Config values pass the checks their flags get: numbers, and strings
+    standing for float options, must be finite, and the --grid and --h
+    lists are parsed entry by entry.
+    """
     config = {}
     if getattr(args, "config", None):
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(config, dict):
             raise UsageError("--config must contain a JSON object")
     for key, default in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, default))
+        if getattr(args, key, None) is not None:
+            continue
+        value = config.get(key, default)
+        if key in config and key in ("grid", "h"):
+            value = _finite_floats(value)
+        elif key in config and (isinstance(value, float) or isinstance(default, float)):
+            value = _finite_float(value)
+        setattr(args, key, value)
     return args
 
 
-def _write_trajectory_csv(path, traj) -> None:
-    rows = zip(traj.t, traj.u, traj.v, traj.energy)
-    write_csv(path, ["t", "u", "v", "H"], rows)
+def _emit(args, payload) -> int:
+    """Write ``payload`` as JSON to --out, or the same bytes to stdout."""
+    if args.out:
+        write_json(args.out, payload)
+    else:
+        sys.stdout.write(dumps(payload))
+    return 0
+
+
+def _emit_rows(args, header, rows) -> int:
+    """Write CSV rows to --out, or the same bytes to stdout."""
+    if args.out:
+        write_csv(args.out, header, rows)
+    else:
+        sys.stdout.write(csv_text(header, rows))
+    return 0
 
 
 # ---------------------------------------------------------------- clifford
@@ -78,7 +119,7 @@ def cmd_clifford(args) -> int:
         write_json(args.emit, rep_to_json_dict(rep))
         write_json(str(args.emit) + ".report.json", report)
     else:
-        print(json.dumps(report, default=str))
+        _emit(args, report)
     if not report["ok"]:
         print("error: Clifford identity verification failed", file=sys.stderr)
         return 2
@@ -89,6 +130,8 @@ def cmd_clifford(args) -> int:
 
 
 def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
+    if not args.out:
+        raise UsageError("portrait writes an SVG file and requires --out")
     curves = []
     field = aut.time_field(params)
     en = aut.energy_fn(params)
@@ -99,9 +142,7 @@ def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
         _, traj = aut.orbit_reconstruct(params, float(K), n_samples=801)
         curves.append((traj.u, traj.v))
     # homoclinic loop
-    ts = np.linspace(-12.0, 12.0, 1201)
-    hpts = np.array([aut.homoclinic(params, float(t)) for t in ts])
-    curves.append((hpts[:, 0], hpts[:, 1]))
+    curves.append(aut.homoclinic(params, np.linspace(-12.0, 12.0, 1201)))
     # a few outside trajectories
     for u0, v0 in ((1.6, 1.6), (-1.2, 1.2)):
         traj = integrate(field, (u0, v0), (0.0, 4.0), n_samples=801, energy=en)
@@ -123,16 +164,12 @@ def _autonomous_period(args, params: aut.AutonomousParams) -> int:
         "half_period": eta,
         "energy": -params.lam * K / 2,
     }
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload))
-    return 0
+    return _emit(args, payload)
 
 
 def _autonomous_orbit(args, params: aut.AutonomousParams) -> int:
     spec, traj = aut.orbit_reconstruct(params, float(args.K), int(args.n_samples))
-    _write_trajectory_csv(args.out, traj)
+    _emit_rows(args, ["t", "u", "v", "H"], zip(traj.t, traj.u, traj.v, traj.energy))
     if args.spec_out:
         write_json(args.spec_out, {
             "m": spec.m, "K": spec.K, "s0": spec.s0, "s1": spec.s1,
@@ -143,21 +180,14 @@ def _autonomous_orbit(args, params: aut.AutonomousParams) -> int:
 
 def _autonomous_homoclinic(args, params: aut.AutonomousParams) -> int:
     ts = np.linspace(-10.0, 10.0, 2001)
-    res = 0.0
-    h_max = 0.0
-    for t in ts:
-        u, v = aut.homoclinic(params, float(t))
-        du, dv = aut.homoclinic_derivative(params, float(t))
-        fu, fv = aut.vector_field(params, (u, v))
-        res = max(res, abs(du - fu), abs(dv - fv))
-        h_max = max(h_max, abs(aut.hamiltonian(params, u, v)))
+    u, v = aut.homoclinic(params, ts)
+    du, dv = aut.homoclinic_derivative(params, ts)
+    fu, fv = aut.vector_field(params, (u, v))
+    res = max(np.max(np.abs(du - fu)), np.max(np.abs(dv - fv)))
+    h_max = np.max(np.abs(aut.hamiltonian(params, u, v)))
     payload = {"m": params.m, "t_range": [-10.0, 10.0], "samples": len(ts),
                "max_field_residual": res, "max_abs_energy": h_max}
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload))
-    return 0
+    return _emit(args, payload)
 
 
 def _autonomous_bifurcation(args, params: aut.AutonomousParams) -> int:
@@ -170,38 +200,18 @@ def _autonomous_bifurcation(args, params: aut.AutonomousParams) -> int:
         "roots": [{"k": k, "K": K} for k, K in roots],
         "multi_root_k": diag["multi_root_k"],
     }
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload))
-    return 0
+    return _emit(args, payload)
 
 
 def cmd_autonomous(args) -> int:
     _apply_config(args, {"m": 3, "K": 0.1, "T": 2.0, "n_samples": 2001})
-    params = aut.AutonomousParams(int(args.m))
-    sub = args.autonomous_cmd
-    if sub == "portrait":
-        return _autonomous_portrait(args, params)
-    if sub == "period":
-        return _autonomous_period(args, params)
-    if sub == "orbit":
-        return _autonomous_orbit(args, params)
-    if sub == "homoclinic":
-        return _autonomous_homoclinic(args, params)
-    if sub == "bifurcation":
-        return _autonomous_bifurcation(args, params)
-    raise UsageError(f"unknown autonomous subcommand {sub!r}")
+    run = {"portrait": _autonomous_portrait, "period": _autonomous_period,
+           "orbit": _autonomous_orbit, "homoclinic": _autonomous_homoclinic,
+           "bifurcation": _autonomous_bifurcation}[args.autonomous_cmd]
+    return run(args, aut.AutonomousParams(int(args.m)))
 
 
 # -------------------------------------------------------------- dissipative
-
-
-def _parse_grid(args) -> list[float]:
-    if args.grid:
-        return [float(x) for x in str(args.grid).split(",") if x.strip()]
-    return list(np.linspace(float(args.mu_start), float(args.mu_stop),
-                            int(args.mu_count)))
 
 
 def cmd_dissipative(args) -> int:
@@ -217,22 +227,14 @@ def cmd_dissipative(args) -> int:
     sub = args.dissipative_cmd
     if sub == "shoot":
         out = dis.shoot(params, float(args.mu), float(args.t_max), thr)
-        if args.out:
-            write_json(args.out, out.to_json_dict())
-        else:
-            print(json.dumps(out.to_json_dict()))
-        return 0
+        return _emit(args, out.to_json_dict())
     if sub == "sweep":
-        grid = _parse_grid(args)
+        grid = args.grid or list(np.linspace(float(args.mu_start), float(args.mu_stop),
+                                             int(args.mu_count)))
         outcomes = dis.classify_sweep(params, grid, float(args.t_max), thr,
                                       jobs=int(args.jobs))
         rows = [(o.mu, o.k, o.cls, o.H_tail) for o in outcomes]
-        if args.out:
-            write_csv(args.out, ["mu", "k", "class", "H_tail"], rows)
-        else:
-            for row in rows:
-                print(*row, sep=",")
-        return 0
+        return _emit_rows(args, ["mu", "k", "class", "H_tail"], rows)
     if sub == "boundary":
         if args.mu_lo is None or args.mu_hi is None:
             raise UsageError("boundary requires --mu-lo and --mu-hi")
@@ -241,11 +243,7 @@ def cmd_dissipative(args) -> int:
             float(args.tol), float(args.t_max), thr)
         payload = {"m": params.m, "k": int(args.k), "mu_lo": lo, "mu_hi": hi,
                    "width": hi - lo, "non_A_midpoints": diag}
-        if args.out:
-            write_json(args.out, payload)
-        else:
-            print(json.dumps(payload))
-        return 0
+        return _emit(args, payload)
     if sub == "rescaled":
         mu = float(args.mu)
         err = dis.rescale_compare(params, mu, float(args.T))
@@ -254,11 +252,7 @@ def cmd_dissipative(args) -> int:
                    "sup_error": err, "reference_mu": 10.0,
                    "reference_error": ref_err,
                    "ratio_vs_mu10": err / ref_err if ref_err else None}
-        if args.out:
-            write_json(args.out, payload)
-        else:
-            print(json.dumps(payload))
-        return 0
+        return _emit(args, payload)
     raise UsageError(f"unknown dissipative subcommand {sub!r}")
 
 
@@ -267,68 +261,46 @@ def cmd_dissipative(args) -> int:
 
 def _profile_from_source(args, m: int) -> ans.SpinorProfile:
     source = args.source
-    if source == "homoclinic":
-        params = aut.AutonomousParams(m)
-        ts = np.linspace(-8.0, 8.0, 4001)
-        states = np.array([aut.homoclinic(params, float(t)) for t in ts])
-        from .numerics import Trajectory
-        traj = Trajectory(ts, states, np.full(len(ts), np.nan))
-        return ans.profile_from_phase("autonomous", m, traj)
-    if source == "equilibrium":
-        params = aut.AutonomousParams(m)
-        c = aut.equilibria(params)[1][0]
-        ts = np.linspace(-3.0, 3.0, 1001)
-        states = np.full((len(ts), 2), c)
-        from .numerics import Trajectory
-        traj = Trajectory(ts, states, np.full(len(ts), np.nan))
-        return ans.profile_from_phase("autonomous", m, traj)
-    if source == "orbit":
-        params = aut.AutonomousParams(m)
-        period = 2 * aut.half_period(params, float(args.K))
-        span = 5 * period
-        traj = aut.periodic_orbit_trajectory(params, float(args.K),
-                                             (-span, span), 16001)
-        return ans.profile_from_phase("autonomous", m, traj)
     if source == "dissipative":
-        params = dis.DissipativeParams(m)
-        out = dis.shoot(params, float(args.mu), float(args.t_max))
+        out = dis.shoot(dis.DissipativeParams(m), float(args.mu), float(args.t_max))
         return ans.profile_from_phase("dissipative", m, out.trajectory)
-    raise UsageError(f"unknown profile source {source!r}")
+    params = aut.AutonomousParams(m)
+    if source == "homoclinic":
+        ts = np.linspace(-8.0, 8.0, 4001)
+        states = np.column_stack(aut.homoclinic(params, ts))
+        traj = Trajectory(ts, states, np.full(len(ts), np.nan))
+    elif source == "equilibrium":
+        ts = np.linspace(-3.0, 3.0, 1001)
+        states = np.full((len(ts), 2), aut.equilibria(params)[1][0])
+        traj = Trajectory(ts, states, np.full(len(ts), np.nan))
+    elif source == "orbit":
+        span = 5 * (2 * aut.half_period(params, float(args.K)))  # five periods
+        traj = aut.periodic_orbit_trajectory(params, float(args.K), (-span, span), 16001)
+    else:
+        raise UsageError(f"unknown profile source {source!r}")
+    return ans.profile_from_phase("autonomous", m, traj)
 
 
 def cmd_ansatz(args) -> int:
     _apply_config(args, {
         "m": 3, "K": 0.1, "mu": 0.4, "t_max": 20.0,
-        "source": "orbit", "end": "zero", "h": "1e-3,5e-4,2.5e-4",
+        "source": "orbit", "end": "zero", "h": [1e-3, 5e-4, 2.5e-4],
     })
     m = int(args.m)
     sub = args.ansatz_cmd
+    profile = _profile_from_source(args, m)
     if sub == "profile":
-        profile = _profile_from_source(args, m)
-        ans.profile_to_csv(profile, args.out)
-        return 0
+        rows = zip(profile.r, profile.f1, profile.f2, profile.psi_abs)
+        return _emit_rows(args, ["r", "f1", "f2", "psi_abs"], rows)
     if sub == "residual":
-        profile = _profile_from_source(args, m)
         rep = build_rep(profile.ambient_dim)
         r_mid = np.geomspace(max(profile.r[0] * 4, 0.5),
                              min(profile.r[-1] / 4, 2.0), 5)
-        points = []
-        for r in r_mid:
-            x = np.zeros(profile.ambient_dim)
-            x[0] = r
-            points.append(x)
-        rows = []
-        for h in [float(s) for s in str(args.h).split(",")]:
-            res = ans.pde_residual(profile.kind, m, profile, rep, points, h)
-            rows.append((h, res))
-        if args.out:
-            write_csv(args.out, ["h", "max_residual"], rows)
-        else:
-            for row in rows:
-                print(*row, sep=",")
-        return 0
+        points = np.outer(r_mid, np.eye(profile.ambient_dim)[0])  # (r, 0, ..., 0)
+        rows = [(h, ans.pde_residual(profile.kind, m, profile, rep, points, h))
+                for h in args.h]
+        return _emit_rows(args, ["h", "max_residual"], rows)
     if sub == "decay":
-        profile = _profile_from_source(args, m)
         window = None
         if args.source == "orbit":
             # whole number of orbit periods so the ln-r oscillation
@@ -337,11 +309,7 @@ def cmd_ansatz(args) -> int:
         exponent = ans.decay_fit(profile, args.end, window=window)
         payload = {"m": m, "source": args.source, "end": args.end,
                    "exponent": exponent}
-        if args.out:
-            write_json(args.out, payload)
-        else:
-            print(json.dumps(payload))
-        return 0
+        return _emit(args, payload)
     raise UsageError(f"unknown ansatz subcommand {sub!r}")
 
 
@@ -368,8 +336,8 @@ def _build_parser() -> _Parser:
     p.add_argument("autonomous_cmd",
                    choices=["portrait", "period", "orbit", "homoclinic", "bifurcation"])
     common(p)
-    p.add_argument("--K", type=float, default=None, help="level parameter")
-    p.add_argument("--T", type=float, default=None, help="target period")
+    p.add_argument("--K", type=_finite_float, default=None, help="level parameter")
+    p.add_argument("--T", type=_finite_float, default=None, help="target period")
     p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
     p.add_argument("--spec-out", dest="spec_out", default=None)
     p.set_defaults(func=cmd_autonomous)
@@ -377,34 +345,36 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dissipative", help="shooting-classification commands")
     p.add_argument("dissipative_cmd", choices=["shoot", "sweep", "boundary", "rescaled"])
     common(p)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=None)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--mu-lo", dest="mu_lo", type=float, default=None)
-    p.add_argument("--mu-hi", dest="mu_hi", type=float, default=None)
-    p.add_argument("--T", type=float, default=None, help="rescaled horizon")
+    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--mu-lo", dest="mu_lo", type=_finite_float, default=None)
+    p.add_argument("--mu-hi", dest="mu_hi", type=_finite_float, default=None)
+    p.add_argument("--T", type=_finite_float, default=None, help="rescaled horizon")
     p.add_argument("--jobs", type=int, default=None,
                    help="deprecated and ignored: sweep lanes are solved together")
-    p.add_argument("--grid", default=None, help="comma-separated mu values")
-    p.add_argument("--mu-start", dest="mu_start", type=float, default=None)
-    p.add_argument("--mu-stop", dest="mu_stop", type=float, default=None)
+    p.add_argument("--grid", type=_finite_floats, default=None,
+                   help="comma-separated mu values")
+    p.add_argument("--mu-start", dest="mu_start", type=_finite_float, default=None)
+    p.add_argument("--mu-stop", dest="mu_stop", type=_finite_float, default=None)
     p.add_argument("--mu-count", dest="mu_count", type=int, default=None)
-    p.add_argument("--decay-threshold", dest="decay_threshold", type=float, default=None)
-    p.add_argument("--fit-tol", dest="fit_tol", type=float, default=None)
-    p.add_argument("--deadband", type=float, default=None)
+    p.add_argument("--decay-threshold", dest="decay_threshold", type=_finite_float, default=None)
+    p.add_argument("--fit-tol", dest="fit_tol", type=_finite_float, default=None)
+    p.add_argument("--deadband", type=_finite_float, default=None)
     p.set_defaults(func=cmd_dissipative)
 
     p = sub.add_parser("ansatz", help="radial spinor-profile commands")
     p.add_argument("ansatz_cmd", choices=["profile", "residual", "decay"])
     common(p)
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
+    p.add_argument("--K", type=_finite_float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=None)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
     p.add_argument("--source", default=None,
                    choices=["orbit", "homoclinic", "equilibrium", "dissipative"])
     p.add_argument("--end", default=None, choices=["zero", "infinity"])
-    p.add_argument("--h", default=None, help="comma-separated FD steps")
+    p.add_argument("--h", type=_finite_floats, default=None,
+                   help="comma-separated FD steps")
     p.set_defaults(func=cmd_ansatz)
     return parser
 
@@ -415,7 +385,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError, IntegrationError,

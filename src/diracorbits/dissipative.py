@@ -107,19 +107,22 @@ def hamiltonian_t(params: DissipativeParams, t, u, v):
     )
 
 
-def vector_field_t(params: DissipativeParams, t: float, state) -> tuple[float, float]:
-    u, v = state
-    m = params.m
-    z = u * u + v * v
-    nl = math.cosh(t) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
-    return nl * v - params.kappa * u, params.kappa * v - nl * u
-
-
 def time_field(params: DissipativeParams):
-    def field(t: float, u: float, v: float) -> tuple[float, float]:
-        return vector_field_t(params, t, (u, v))
+    """The field as ``field(t, u, v)`` for numerics.integrate; u, v may be arrays."""
+    kappa = params.kappa
+    e = 1 / (params.m - 1)
+    c = -1 / (params.m - 1)
+
+    def field(t: float, u, v):
+        z = u * u + v * v
+        nl = math.cosh(t) ** c * z ** e
+        return nl * v - kappa * u, kappa * v - nl * u
 
     return field
+
+
+def vector_field_t(params: DissipativeParams, t: float, state) -> tuple[float, float]:
+    return time_field(params)(t, *state)
 
 
 def energy_fn(params: DissipativeParams):
@@ -259,10 +262,10 @@ def boundary_bisect(
     return a, b, diagnostics
 
 
-def rescaled_limit(params: DissipativeParams, t: float) -> tuple[float, float]:
-    """Closed-form limit of the blown-up flow near t = 0 for large mu."""
+def rescaled_limit(params: DissipativeParams, t):
+    """Closed-form limit of the blown-up flow near t = 0 for large mu; numpy-broadcast over t."""
     w = 2 ** (1 / (params.m - 1)) * t + math.pi / 4
-    return math.sqrt(2) * math.sin(w), math.sqrt(2) * math.cos(w)
+    return math.sqrt(2) * np.sin(w), math.sqrt(2) * np.cos(w)
 
 
 def vector_field_rescaled(params: DissipativeParams, eps: float, t: float, state):
@@ -295,12 +298,8 @@ def rescale_compare(
     traj = integrate(
         time_field(params), (mu, mu), (0.0, scale * T), tol=tol, n_samples=n_samples
     )
-    t_resc = traj.t / scale
-    err = 0.0
-    for ti, (u, v) in zip(t_resc, traj.states):
-        U0, V0 = rescaled_limit(params, ti)
-        err = max(err, math.hypot(eps * u - U0, eps * v - V0))
-    return err
+    U0, V0 = rescaled_limit(params, traj.t / scale)
+    return float(np.max(np.hypot(eps * traj.u - U0, eps * traj.v - V0)))
 
 
 def envelope_check(

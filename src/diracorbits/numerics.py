@@ -8,7 +8,7 @@ carrying an inverse-square-root singularity at both endpoints of [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,7 +84,6 @@ class Trajectory:
     steps_accepted: int = 0
     steps_rejected: int = 0
     terminal_reason: str = "completed"
-    meta: dict = field(default_factory=dict)
 
     @property
     def u(self) -> np.ndarray:

@@ -18,10 +18,6 @@ from diracorbits.cli import main as cli_main
 from diracorbits.clifford import build_rep, verify_rep
 from diracorbits.numerics import Tolerances, Trajectory, integrate
 
-PAULI_BASED = {
-    1: [[(0.0, 1.0)]],  # alpha_1^(1) = i
-}
-
 
 def _verdict(n: int, label: str, ok: bool) -> None:
     print(f"[acceptance {n}] {label}: {'PASS' if ok else 'FAIL'}")

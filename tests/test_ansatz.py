@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from diracorbits.ansatz import (
     EmptyTrajectory,
@@ -323,6 +324,46 @@ def test_residual_dissipative_homoclinic_limit():
     points = [[0.3, 0.1], [0.5, 0.0], [0.0, 0.9]]
     res = pde_residual("dissipative", 3, prof, rep, points, h=1e-4)
     assert res <= 1e-5
+
+
+def _residual_loop(kind, m, prof, rep, points, h):
+    """pde_residual with its own central-difference loop, as before it used dirac_apply_fd."""
+    s = np.log(prof.r)
+    sp1 = CubicSpline(s, prof.f1, bc_type="natural")
+    sp2 = CubicSpline(s, prof.f2, bc_type="natural")
+
+    def field(x):
+        ln_r = math.log(float(np.linalg.norm(x)))
+        return ansatz_eval(rep, float(sp1(ln_r)), float(sp2(ln_r)), prof.gamma0, x)
+
+    worst = 0.0
+    for x in points:
+        x = np.asarray(x, dtype=float)
+        r = float(np.linalg.norm(x))
+        dpsi = np.zeros(rep.dim, dtype=np.complex128)
+        for kk in range(rep.m):
+            e = np.zeros(rep.m)
+            e[kk] = h
+            dpsi += rep.alphas[kk].to_complex() @ ((field(x + e) - field(x - e)) / (2 * h))
+        psi = field(x)
+        hnl = 1.0 if kind == "autonomous" else (2 / (1 + r * r)) ** (1 / (m - 1))
+        rhs = hnl * float(np.linalg.norm(psi)) ** (2 / (m - 1)) * psi
+        worst = max(worst, float(np.linalg.norm(dpsi - rhs)))
+    return worst
+
+
+def test_residual_equals_the_inline_stencil_bit_for_bit():
+    auto = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=2001))
+    out = shoot(DissipativeParams(4), 0.3, t_max=12.0)
+    diss = profile_from_phase("dissipative", 4, out.trajectory)
+    for kind, m, prof, points in (
+        ("autonomous", 3, auto, [[0.5, 0.5, 0.5], [-0.7, 0.2, 1.0]]),
+        ("dissipative", 4, diss, [[0.3, 0.1, -0.2], [0.0, 0.9, 0.0]]),
+    ):
+        rep = build_rep(prof.ambient_dim)
+        for h in (1e-3, 1e-4):
+            assert (pde_residual(kind, m, prof, rep, points, h)
+                    == _residual_loop(kind, m, prof, rep, points, h))
 
 
 def test_residual_point_out_of_range():

@@ -288,3 +288,45 @@ def test_solutions_count_t5():
     for k, K in roots:
         assert abs(half_period(M3, K) - 5.0 / k) < 1e-8
     assert diag["multi_root_k"] == []
+
+
+@pytest.mark.parametrize("m,T", [(3, 8.342), (6, 6.0)])
+def test_solutions_count_roots_hit_target_relatively(m, T):
+    # eta' ~ -1/((m-1) K), so an absolute root tolerance misses T/k by
+    # ~1e-13/K at small K; a tolerance relative to K does not
+    params = AutonomousParams(m)
+    _, roots, _ = solutions_count(params, T)
+    assert roots
+    for k, K in roots:
+        assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
+
+
+def _homoclinic_loop(params, t):
+    """The closed forms evaluated one sample at a time with math."""
+    m = params.m
+    amp = m ** ((m - 1) / 2) / 2 ** (m / 2)
+    u = amp * math.exp(t / 2) / math.cosh(t) ** (m / 2)
+    v = amp * math.exp(-t / 2) / math.cosh(t) ** (m / 2)
+    th = math.tanh(t)
+    return u, v, u * (0.5 - (m / 2) * th), v * (-0.5 - (m / 2) * th)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_homoclinic_broadcasts_like_the_scalar_loop(m):
+    params = AutonomousParams(m)
+    ts = np.linspace(-12.0, 12.0, 241)
+    got = np.array(homoclinic(params, ts) + homoclinic_derivative(params, ts))
+    ref = np.array([_homoclinic_loop(params, float(t)) for t in ts]).T
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_field_forms_agree_bit_for_bit():
+    # vector_field and the integrator's time_field are one body
+    field = time_field(M3)
+    for u, v in ((0.3, -1.1), (2.0, 0.5), (-0.7, -0.2)):
+        z = u * u + v * v
+        nl = z ** (1 / (M3.m - 1))
+        ref = (nl * v - M3.lam * u, M3.lam * v - nl * u)
+        assert vector_field(M3, (u, v)) == ref
+        assert field(7.0, u, v) == ref

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diracorbits
 from diracorbits import cli
 from diracorbits.cli import main
+from diracorbits.serialize import csv_text, dumps
 
 
 def run(*argv):
@@ -67,7 +69,8 @@ def test_bad_value_exit_1():
 
 
 @pytest.mark.parametrize("argv", [
-    ["dissipative", "shoot", "--m", "3", "--mu", "0.6", "--t-max", "inf"],
+    # z = 2 mu^2 overflows at the initial state: NonFiniteState
+    ["dissipative", "shoot", "--m", "3", "--mu", "1e200"],
     # half_period loses accuracy near K ~ 1e-14 K0: NonConvergence
     ["autonomous", "bifurcation", "--m", "4", "--T", "8"],
 ])
@@ -264,3 +267,125 @@ def test_log_level_env(tmp_path, monkeypatch):
     out = tmp_path / "period.json"
     assert run("autonomous", "period", "--m", "3", "--K", "0.1",
                "--out", str(out)) == 0
+
+
+# ---------------------------------------------------------------------------
+# one output path: stdout carries the bytes --out would write
+
+SUBCOMMANDS = {
+    "clifford": ["clifford", "--m", "3"],
+    "period": ["autonomous", "period", "--m", "3", "--K", "0.1"],
+    "orbit": ["autonomous", "orbit", "--m", "3", "--K", "0.1", "--n-samples", "101"],
+    "portrait": ["autonomous", "portrait", "--m", "3"],
+    "homoclinic": ["autonomous", "homoclinic", "--m", "3"],
+    "bifurcation": ["autonomous", "bifurcation", "--m", "3", "--T", "5"],
+    "shoot": ["dissipative", "shoot", "--m", "3", "--mu", "0.6", "--t-max", "10"],
+    "sweep": ["dissipative", "sweep", "--m", "3", "--grid", "0.2,0.6", "--t-max", "10"],
+    "boundary": ["dissipative", "boundary", "--m", "3", "--k", "0", "--mu-lo", "0.5",
+                 "--mu-hi", "1.0", "--tol", "1e-2", "--t-max", "20"],
+    "rescaled": ["dissipative", "rescaled", "--m", "3", "--mu", "20", "--T", "2"],
+    "profile": ["ansatz", "profile", "--m", "3", "--source", "homoclinic"],
+    "residual": ["ansatz", "residual", "--m", "3", "--source", "homoclinic", "--h", "1e-3"],
+    "decay": ["ansatz", "decay", "--m", "3", "--K", "0.1", "--end", "zero"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_stdout_equals_out_file(name, tmp_path, capsys):
+    argv = SUBCOMMANDS[name]
+    code = run(*argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if name == "portrait":
+        # an SVG has no stdout form
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("usage error: ")
+        return
+    assert code == 0
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 0
+    assert captured.out.encode("utf-8") == out.read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_non_finite_result_is_strict_json_null(tmp_path, capsys):
+    # the coupling cosh(t)^(-1/(m-1)) overflows at t ~ 710, so H_tail is inf
+    argv = ["dissipative", "shoot", "--m", "3", "--mu", "0.6", "--t-max", "2000"]
+    assert run(*argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "shoot.json"
+    assert run(*argv, "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert stdout == text
+    payload = json.loads(text, parse_constant=_reject_constant)
+    assert payload["H_tail"] is None
+    assert payload["class"] == "A"
+
+
+def test_output_number_formats():
+    payload = {"i": np.int64(3), "x": np.float64(0.1), "big": 1e300,
+               "bad": [float("inf"), -float("inf"), float("nan")], "ok": True, "s": "A"}
+    assert dumps(payload) == ('{"i": 3, "x": 0.1, "big": 1e+300, '
+                              '"bad": [null, null, null], "ok": true, "s": "A"}\n')
+    rows = [(np.float64(0.1), np.int64(2), "A", 1.0 / 3.0)]
+    assert csv_text(["a", "b", "c", "d"], rows) == "a,b,c,d\n0.1,2,A,0.3333333333333333\n"
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers are usage errors
+
+# (command in SUBCOMMANDS, flag); the bad value is appended and wins
+FLOAT_FLAGS = [
+    ("period", "--K"),
+    ("bifurcation", "--T"),
+    ("shoot", "--mu"),
+    ("shoot", "--t-max"),
+    ("boundary", "--tol"),
+    ("boundary", "--mu-lo"),
+    ("boundary", "--mu-hi"),
+    ("rescaled", "--T"),
+    ("sweep", "--mu-start"),
+    ("sweep", "--mu-stop"),
+    ("sweep", "--decay-threshold"),
+    ("sweep", "--fit-tol"),
+    ("sweep", "--deadband"),
+    ("sweep", "--grid"),
+    ("profile", "--K"),
+    ("profile", "--mu"),
+    ("profile", "--t-max"),
+    ("residual", "--h"),
+]
+
+
+def _assert_one_usage_error(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,flag", FLOAT_FLAGS)
+def test_non_finite_flag_is_usage_error(name, flag, value, capsys):
+    if flag in ("--grid", "--h"):
+        value = f"0.5,{value}"
+    assert run(*SUBCOMMANDS[name], f"{flag}={value}") == 1
+    _assert_one_usage_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config", [
+    '{"mu": NaN}',
+    '{"t_max": Infinity}',
+    '{"mu": 1e999}',
+    '{"grid": "0.2,-inf"}',
+    '{"tol": "-inf"}',
+])
+def test_non_finite_config_value_is_usage_error(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run("dissipative", "sweep", "--config", str(cfg)) == 1
+    _assert_one_usage_error(capsys.readouterr().err)

@@ -89,6 +89,18 @@ def test_vector_field_large_time():
     assert abs(dv - 0.5 * 0.5) < 1e-12
 
 
+@given(st.integers(3, 6), st.floats(0.0, 700.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_field_forms_agree_bit_for_bit(m, t, u, v):
+    # vector_field_t and the integrator's time_field are one body
+    params = DissipativeParams(m)
+    z = u * u + v * v
+    nl = math.cosh(t) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
+    ref = (nl * v - params.kappa * u, params.kappa * v - nl * u)
+    assert vector_field_t(params, t, (u, v)) == ref
+    assert time_field(params)(t, u, v) == ref
+
+
 @given(
     st.floats(0.0, 20.0),
     st.floats(0.01, 10.0),
@@ -319,6 +331,15 @@ def test_rescaled_limit_at_zero():
 def test_rescaled_limit_magnitude(t):
     U, V = rescaled_limit(P3, t)
     assert abs(U * U + V * V - 2.0) < 1e-12
+
+
+def test_rescaled_limit_broadcasts_like_the_scalar_loop():
+    ts = np.linspace(-20.0, 20.0, 401)
+    U, V = rescaled_limit(P3, ts)
+    for t, Ui, Vi in zip(ts, U, V):
+        w = 2 ** (1 / (P3.m - 1)) * float(t) + math.pi / 4
+        assert abs(Ui - math.sqrt(2) * math.sin(w)) <= 1e-14 * math.sqrt(2)
+        assert abs(Vi - math.sqrt(2) * math.cos(w)) <= 1e-14 * math.sqrt(2)
 
 
 def test_rescaled_limit_first_zero():
