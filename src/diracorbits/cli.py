@@ -238,6 +238,8 @@ def cmd_dissipative(args) -> int:
     if sub == "boundary":
         if args.mu_lo is None or args.mu_hi is None:
             raise UsageError("boundary requires --mu-lo and --mu-hi")
+        if not float(args.tol) > 0:
+            raise UsageError("--tol must be positive")
         lo, hi, diag = dis.boundary_bisect(
             params, int(args.k), float(args.mu_lo), float(args.mu_hi),
             float(args.tol), float(args.t_max), thr)

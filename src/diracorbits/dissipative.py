@@ -43,6 +43,9 @@ __all__ = [
     "classify_sweep",
 ]
 
+# interior points classified per boundary_bisect round: 4 bits per solve
+BISECT_LANES = 15
+
 
 class BracketInvalid(ValueError):
     pass
@@ -235,15 +238,24 @@ def boundary_bisect(
     t_max: float = 60.0,
     thresholds: Thresholds = Thresholds(),
 ) -> tuple[float, float, list[dict]]:
-    """Bisect on mu for the transition from <= k to >= k+1 sign changes.
+    """Locate the mu where the sign-change count goes from <= k to >= k+1.
 
-    Requires shoot(mu_lo).k <= k and shoot(mu_hi).k >= k+1. Outcomes that
-    are not class A near the boundary are expected (the decaying layer
-    lives there); they are recorded in the returned diagnostics and the
-    midpoint is assigned a side by its sign-change count alone.
+    Requires k(mu_lo) <= k and k(mu_hi) >= k+1, checked by one 2-lane solve.
+    Each round classifies BISECT_LANES evenly spaced interior points of the
+    bracket [a, b] in one stacked solve and keeps the adjacent pair where k
+    first exceeds the target, gaining 4 bits per round; the last round uses
+    only as many points as reaching ``tol`` needs. A solve ends once H <= 0
+    on every lane (k and class are final then); a lane that is not class A
+    keeps the solve running to ``t_max``. Such lanes are expected near the
+    boundary, where the decaying layer lives: every one, from every round,
+    is returned in the diagnostics, and each point takes a side by its
+    sign-change count alone. The loop also ends when the bracket holds no
+    double between its ends, so a ``tol`` below the float spacing returns
+    adjacent doubles.
     """
-    lo = shoot(params, mu_lo, t_max, thresholds)
-    hi = shoot(params, mu_hi, t_max, thresholds)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
+    lo, hi = _shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, trap=True)
     if lo.k > k or hi.k < k + 1:
         raise BracketInvalid(
             f"need k(mu_lo) <= {k} and k(mu_hi) >= {k + 1}; got {lo.k} and {hi.k}"
@@ -251,14 +263,16 @@ def boundary_bisect(
     diagnostics: list[dict] = []
     a, b = mu_lo, mu_hi
     while b - a > tol:
-        mid = 0.5 * (a + b)
-        out = shoot(params, mid, t_max, thresholds)
-        if out.cls != "A":
-            diagnostics.append(out.to_json_dict())
-        if out.k <= k:
-            a = mid
-        else:
-            b = mid
+        ratio = (b - a) / tol
+        n = BISECT_LANES if ratio > BISECT_LANES + 1 else math.ceil(ratio) - 1
+        mus = [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
+        if not mus:
+            break
+        outs = _shoot_lanes(params, mus, t_max, thresholds, trap=True)
+        diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
+        grid = [a, *mus, b]
+        j = next((i for i, o in enumerate(outs, 1) if o.k > k), len(grid) - 1)
+        a, b = grid[j - 1], grid[j]
     return a, b, diagnostics
 
 
@@ -355,15 +369,34 @@ def classify_sweep(
         warnings.warn("classify_sweep(jobs=...) is deprecated and ignored",
                       DeprecationWarning, stacklevel=2)
     mus = [float(mu) for mu in mu_grid]
-    if any(mu <= 0 for mu in mus):
-        raise ValueError("mu grid must be positive")
     if sorted(mus) != mus:
         raise ValueError("mu grid must be increasing")
+    return _shoot_lanes(params, mus, t_max, thresholds)
+
+
+def _shoot_lanes(
+    params: DissipativeParams,
+    mus: list[float],
+    t_max: float,
+    thresholds: Thresholds,
+    trap: bool = False,
+) -> list[ShootingOutcome]:
+    """Classify each mu as ``shoot`` does, all lanes in one stacked solve.
+
+    With ``trap`` the solve ends at the first grid sample where H <= 0 on
+    every lane: H never rises again and keeps kappa*u*v > 0, so v changes
+    sign no more and each lane's k, class and first nonpositive H are
+    final there. If the stacked solve fails, each lane is shot on its own.
+    """
+    if any(not mu > 0 for mu in mus):
+        raise ValueError("mu must be positive")
     if not mus:
         return []
+    en = energy_fn(params)
+    stop = (lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0))) if trap else None
     try:
         traj = integrate(time_field(params), np.array([mus, mus]), (0.0, t_max),
-                         n_samples=4001, energy=energy_fn(params))
+                         n_samples=4001, energy=en, stop=stop)
     except IntegrationError:
         return [replace(shoot(params, mu, t_max, thresholds), trajectory=None) for mu in mus]
     outcomes = []

@@ -29,6 +29,7 @@ __all__ = [
 
 PlanarField = Callable[[float, float, float], tuple[float, float]]
 EnergyFn = Callable[[float, float, float], float]
+StopFn = Callable[[float, np.ndarray, np.ndarray], bool]
 
 
 class IntegrationError(RuntimeError):
@@ -104,6 +105,7 @@ def integrate(
     tol: Tolerances = Tolerances(),
     n_samples: int = 1001,
     energy: EnergyFn | None = None,
+    stop: StopFn | None = None,
 ) -> Trajectory:
     """Integrate a planar field with scipy's DOP853 (Dormand-Prince 8(5,3)).
 
@@ -114,6 +116,13 @@ def integrate(
     uniform grid of ``n_samples`` points come from the solver's dense
     output. ``energy(t, u, v)``, when given, is called once on the sample
     arrays and stored on the trajectory.
+
+    ``stop(t, u, v)``, when given, is called on the latest grid sample after
+    each dense-output fill. Once it returns true the solve ends: the
+    trajectory is cut at the first sample of that fill where ``stop`` holds
+    and carries ``terminal_reason="stopped"``. ``stop`` should stay true
+    once true (as H <= 0 does for a dissipative energy), so that sample is
+    the first one on the grid where it holds.
 
     Raises StepLimitExceeded after ``tol.max_steps`` step attempts, and
     NonFiniteState when the state turns non-finite or the step size
@@ -180,15 +189,21 @@ def integrate(
             node_t.append(solver.t)
             node_y.append(solver.y)
             if solver.status == "finished":
-                stop = n_samples - 1
+                end = n_samples - 1
                 states[-1] = solver.y.reshape(shape)
             else:
-                stop = int(np.searchsorted(t_grid, solver.t, side="right"))
-            if stop > filled:
+                end = int(np.searchsorted(t_grid, solver.t, side="right"))
+            if end > filled:
                 dense_calls += 1
-                ys = solver.dense_output()(t_grid[filled:stop])
-                states[filled:stop] = ys.T.reshape((-1,) + shape)
-                filled = stop
+                ys = solver.dense_output()(t_grid[filled:end])
+                states[filled:end] = ys.T.reshape((-1,) + shape)
+                if stop is not None and stop(t_grid[end - 1], *states[end - 1]):
+                    first = next(i for i in range(filled, end)
+                                 if stop(t_grid[i], *states[i]))
+                    t, ys = t_grid[:first + 1], states[:first + 1]
+                    return Trajectory(t, ys, _energies(energy, t, ys), accepted,
+                                      attempts() - accepted, "stopped")
+                filled = end
         return Trajectory(t_grid, states, _energies(energy, t_grid, states), accepted,
                           attempts() - accepted)
 

@@ -168,6 +168,32 @@ def test_boundary_requires_bracket_flags():
     assert run("dissipative", "boundary", "--m", "3", "--k", "0") == 1
 
 
+BOUNDARY_T5 = ["dissipative", "boundary", "--m", "3", "--k", "0", "--mu-lo", "0.5",
+               "--mu-hi", "1.0", "--t-max", "5"]
+
+
+def _run_boundary(tol_flag):
+    # a fresh interpreter under a timeout: these tolerances used to loop forever
+    env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "diracorbits.cli", *BOUNDARY_T5, tol_flag],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("tol_flag", ["--tol=0", "--tol=-1"])
+def test_boundary_nonpositive_tol_is_usage_error(tol_flag):
+    proc = _run_boundary(tol_flag)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["usage error: --tol must be positive"]
+
+
+def test_boundary_tol_below_float_spacing_returns_adjacent_doubles():
+    proc = _run_boundary("--tol=1e-20")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert np.nextafter(payload["mu_lo"], np.inf) == payload["mu_hi"]
+
+
 def test_rescaled_json(tmp_path):
     out = tmp_path / "rescaled.json"
     assert run("dissipative", "rescaled", "--m", "3", "--mu", "100",

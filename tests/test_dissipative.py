@@ -316,6 +316,78 @@ def test_boundary_bisect_invalid_bracket():
         boundary_bisect(P3, 0, 0.1, 0.4, tol=1e-4)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, -math.inf, math.inf, math.nan])
+def test_boundary_bisect_rejects_bad_tol(tol):
+    with pytest.raises(ValueError):
+        boundary_bisect(P3, 0, 0.5, 1.0, tol=tol, t_max=5.0)
+
+
+@pytest.mark.parametrize("tol", [1e-20, 5e-324])
+def test_boundary_bisect_below_float_spacing_returns_adjacent_doubles(tol):
+    # (b - a) / tol overflows to inf at the smallest subnormal tol
+    lo, hi, _ = boundary_bisect(P3, 0, 0.5, 1.0, tol=tol, t_max=5.0)
+    assert np.nextafter(lo, math.inf) == hi
+
+
+def mu_star(m):
+    return ((m - 1) / 2) ** ((m - 1) / 2) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("m, k, mu_lo, mu_hi", [
+    # k = 0 brackets are not centred on mu*, so no round samples mu*
+    # itself, whose side is decided by rounding alone
+    *((m, 0, 0.85 * mu_star(m), 1.2 * mu_star(m)) for m in (3, 4, 5, 6)),
+    (3, 1, 1.5, 2.0), (4, 1, 2.4, 2.9), (5, 2, 7.5, 9.0),
+])
+def test_boundary_bisect_ends_shoot_on_each_side(m, k, mu_lo, mu_hi):
+    params = DissipativeParams(m)
+    lo, hi, _ = boundary_bisect(params, k, mu_lo, mu_hi, tol=1e-8)
+    assert hi - lo <= 1e-8
+    if k == 0:
+        # mu*(m) starts the explicit decaying orbit, the k = 0 boundary
+        assert lo <= mu_star(m) <= hi
+    assert shoot(params, lo).k <= k and shoot(params, hi).k >= k + 1
+
+
+def test_boundary_bisect_falls_back_to_single_shoots(monkeypatch):
+    import diracorbits.dissipative as dis
+    from diracorbits.numerics import StepLimitExceeded
+
+    def stacked_fails(field, y0, *args, **kwargs):
+        if np.ndim(y0) == 2:
+            raise StepLimitExceeded("stacked solve refused")
+        return integrate(field, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dis, "integrate", stacked_fails)
+    lo, hi, _ = boundary_bisect(P3, 0, 0.6, 0.8, tol=1e-4, t_max=30.0)
+    assert lo <= mu_star(3) <= hi and hi - lo <= 1e-4
+    assert shoot(P3, lo, t_max=30.0).k == 0 and shoot(P3, hi, t_max=30.0).k >= 1
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_trap_stop_keeps_sweep_outcomes(m):
+    # H <= 0 on every lane ends the solve; k, class and the first H <= 0
+    # must equal the full-horizon sweep's on every lane
+    import diracorbits.dissipative as dis
+
+    params = DissipativeParams(m)
+    mus = list(np.geomspace(0.05, 20.0, 300))
+    full = classify_sweep(params, mus)
+    trapped = dis._shoot_lanes(params, mus, 60.0, Thresholds(), trap=True)
+    assert max(o.t_end for o in trapped) < 60.0
+    for a, b in zip(trapped, full):
+        assert (a.mu, a.k, a.cls, a.first_nonpositive_H) == (
+            b.mu, b.k, b.cls, b.first_nonpositive_H)
+
+
+@pytest.mark.parametrize("m, mu", [(3, 0.1), (3, 0.7071), (3, 2.0), (4, 1.0), (5, 5.0)])
+def test_energy_nonincreasing_on_grid_samples(m, mu):
+    # dH/dt = -tanh(t) cosh(t)^(-1/(m-1)) z^(m/(m-1)) / (2m) <= 0 for t >= 0
+    H = shoot(DissipativeParams(m), mu).trajectory.energy
+    scale = np.maximum(np.abs(H[1:]), np.abs(H[:-1]))
+    assert np.all(np.diff(H) <= 4 * np.finfo(float).eps * scale)
+
+
 # ---------------------------------------------------------------------------
 # rescaled limit
 

@@ -98,6 +98,42 @@ def test_nonfinite_input_rejected(y0, t_span):
         integrate(lambda t, u, v: (v, -u), y0, t_span)
 
 
+def test_stop_ends_at_first_sample_where_it_holds():
+    # saddle lanes v = v0 e^t; "every lane has v >= 1" stays true once true
+    y0 = np.array([[1.0, 1.0, 1.0], [0.1, 0.2, 0.4]])
+    args = (lambda t, u, v: (-u, v), y0, (0.0, 5.0))
+    full = integrate(*args, n_samples=501)
+    seen = []
+
+    def stop(t, u, v):
+        seen.append(t)
+        return bool(np.all(v >= 1.0))
+
+    cut = integrate(*args, n_samples=501, stop=stop)
+    first = int(np.nonzero(np.all(full.v >= 1.0, axis=1))[0][0])
+    assert cut.terminal_reason == "stopped"
+    assert len(cut) == first + 1
+    assert np.array_equal(cut.t, full.t[: first + 1])
+    assert np.array_equal(cut.states, full.states[: first + 1])
+    assert cut.steps_accepted < full.steps_accepted
+    # one call per dense-output fill, then a walk back through the last fill
+    assert len(seen) < first
+
+
+def test_stop_that_never_fires_is_bit_identical():
+    def en(t, u, v):
+        return u * u + v * v
+
+    args = (lambda t, u, v: (-v, u), np.array([[1.0, 0.5], [0.0, 0.2]]), (0.0, 7.0))
+    plain = integrate(*args, energy=en)
+    never = integrate(*args, energy=en, stop=lambda t, u, v: False)
+    for name in ("t", "states", "energy"):
+        assert np.array_equal(getattr(plain, name), getattr(never, name))
+    assert (plain.steps_accepted, plain.steps_rejected, plain.terminal_reason) == (
+        never.steps_accepted, never.steps_rejected, never.terminal_reason)
+    assert never.terminal_reason == "completed"
+
+
 def test_find_root_sqrt2():
     x = find_root(lambda x: x * x - 2, 1.0, 2.0, tol=1e-12)
     assert abs(x - math.sqrt(2)) < 1e-12
