@@ -16,10 +16,9 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .numerics import (
-    NoSignChange,
+    NonConvergence,
     Tolerances,
     Trajectory,
-    find_root,
     quad_chebyshev_endpoint,
 )
 
@@ -43,6 +42,11 @@ __all__ = [
 # K within this relative distance of the supremum k0 is treated as the
 # degenerate center orbit (the two turning radii merge).
 DEGENERATE_CUTOFF = 1e-10
+# Newton steps allowed per turning value: ~20 near the fold, a few elsewhere
+NEWTON_MAX = 100
+# solutions_count refines its roots in ln K to this bracket width
+ROOT_LN_TOL = 1e-13
+ROOT_MAX_STEPS = 100
 
 
 class KOutOfRange(ValueError):
@@ -162,7 +166,7 @@ def _check_k(params: AutonomousParams, K: float) -> float:
 
 
 def fk_zeros(params: AutonomousParams, K: float) -> tuple[float, float]:
-    """The two positive zeros s0 < s1 of F_K.
+    """The two positive zeros s0 < s1 of F_K, to a few ulp relative at every K.
 
     Both solve the fixed-point equation s = (2/m) s^p + K, i.e. zeros of
     phi(s) = s - (2/m) s^p - K. phi has a single interior maximum at
@@ -170,38 +174,85 @@ def fk_zeros(params: AutonomousParams, K: float) -> tuple[float, float]:
     side of s*.
     """
     _check_k(params, K)
-    m = params.m
-    p = params.p
+    s0, s1 = _turning_values(params, np.array([K], dtype=float))
+    return float(s0[0]), float(s1[0])
 
-    def phi(s: float) -> float:
-        return s - (2 / m) * s ** p - K
 
+def _turning_values(params: AutonomousParams, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fk_zeros for an array of K.
+
+    With y = s/s*, phi(s) = -(s*/p) G(y) for the convex G(y) = y^p - p y + q,
+    q = p K/s*, and G'(1) = 0. Newton from the outer side of a root of a
+    convex function moves monotonically onto it: from y = K/s* up to y0 and
+    from y = p^{m-1} (s = (m/2)^{m-1}, where phi = -K) down to y1. A lane
+    stops once its step no longer moves it. Near the fold (K > K0/2) the
+    terms of G cancel, so there G is evaluated as B(y) - c with
+    B(y) = expm1(p ln y) - p (y - 1) and c = (p - 1)(s* - m K)/s*, where
+    s* - m K is exact up to one rounding (K split into two 26-bit halves).
+    """
+    m, p = params.m, params.p
     s_star = params.lam ** (m - 1)
-    s0 = find_root(phi, 1e-300, s_star)
-    hi = 2 * s_star
-    while phi(hi) > 0:
-        hi *= 2
-        if hi > 1e12:
-            raise NoSignChange("failed to bracket the upper turning value")
-    s1 = find_root(phi, s_star, hi)
-    return s0, s1
+    big = K * 134217729.0  # 2^27 + 1: Veltkamp split, so m * hi and m * lo are exact
+    hi = big - (big - K)
+    c = (p - 1) * ((s_star - m * hi) - m * (K - hi)) / s_star
+    q = p * K / s_star
+    fold = np.tile(2 * K > k0(params), 2)
+    c, q = np.tile(c, 2), np.tile(q, 2)
+    rising = np.repeat([True, False], K.size)
+    y = np.concatenate([K / s_star, np.full(K.size, p ** (m - 1))])
+    for _ in range(NEWTON_MAX):
+        ln_y = np.log(y)
+        G = np.where(fold, np.expm1(p * ln_y) - p * (y - 1) - c, np.exp(p * ln_y) + (q - p * y))
+        y_new = y - G / (p * np.expm1((p - 1) * ln_y))
+        moving = np.where(rising, y_new > y, y_new < y)
+        if not moving.any():
+            return s_star * y[: K.size], s_star * y[K.size:]
+        y = np.where(moving, y_new, y)
+    raise NonConvergence(f"turning values did not settle in {NEWTON_MAX} Newton steps")
 
 
-def _pk_eval(params: AutonomousParams, K: float, t0: float, t1: float, t: np.ndarray) -> np.ndarray:
+def _pk_eval(params: AutonomousParams, K, t0, t1, t: np.ndarray) -> np.ndarray:
     """Regular polynomial factor P_K of F_K after the z = t^{m-1} substitution.
 
     F_K(t^{m-1}) = (4/m^2) (t - t0)(t1 - t) P_K(t) with
     P_K(t) = (t^m + (m/2) t^{m-1} + (m/2) K) * sum_j a_j t^{m-2-j},
-    a_j = [(t1^{j+1} - t0^{j+1}) - (m/2)(t1^j - t0^j)] / (t1 - t0).
-    P_K > 0 on [t0, t1].
+    a_j = h_j - (m/2) h_{j-1}, h_j = sum_i t1^i t0^{j-i}. Since
+    h_j = t0^j + t1 h_{j-1} and m/2 - t1 = (m/2) K / t1^{m-1} (t1 is a zero
+    of t^m - (m/2) t^{m-1} + (m/2) K), a_j = t0^j - (m/2) K h_{j-1} / t1^{m-1},
+    free of the cancellation in t1 - m/2 as K -> 0. P_K > 0 on [t0, t1].
+    K, t0 and t1 broadcast against t.
     """
     m = params.m
-    first = t ** m + (m / 2) * t ** (m - 1) + (m / 2) * K
-    second = np.zeros_like(t)
-    for j in range(m - 1):
-        a_j = ((t1 ** (j + 1) - t0 ** (j + 1)) - (m / 2) * (t1 ** j - t0 ** j)) / (t1 - t0)
-        second += a_j * t ** (m - 2 - j)
-    return first * second
+    gap = (m / 2) * K / t1 ** (m - 1)
+    second = np.ones_like(t)
+    h = 1.0
+    for j in range(1, m - 1):
+        second = second * t + (t0 ** j - gap * h)
+        h = t0 ** j + t1 * h
+    return (t ** (m - 1) * (t + m / 2) + (m / 2) * K) * second
+
+
+def _integrand(params: AutonomousParams, K, t0, t1, tau: np.ndarray) -> np.ndarray:
+    """Smooth factor (m/2) t^{m-2} / sqrt(P_K(t)) of the half-period at t = t0 + (t1 - t0) tau."""
+    m = params.m
+    t = t0 + (t1 - t0) * tau
+    return (m / 2) * t ** (m - 2) / np.sqrt(_pk_eval(params, K, t0, t1, t))
+
+
+def _half_periods(params: AutonomousParams, K: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """eta for an array of K in range: the kernel behind half_period and solutions_count.
+
+    One Chebyshev quadrature over the (K x nodes) array, at most
+    numerics.QUAD_BLOCK (K, node) pairs at a time; each K's value does not
+    depend on the others.
+    """
+    s0, s1 = _turning_values(params, K)
+    e = 1 / (params.m - 1)
+    t0, t1, Kc = (s0 ** e)[:, None], (s1 ** e)[:, None], K[:, None]
+    return quad_chebyshev_endpoint(
+        lambda tau, rows: _integrand(params, Kc[rows], t0[rows], t1[rows], tau),
+        tol=tol, lanes=K.size,
+    )
 
 
 def half_period(params: AutonomousParams, K: float, tol: float = 1e-12) -> float:
@@ -218,16 +269,7 @@ def half_period(params: AutonomousParams, K: float, tol: float = 1e-12) -> float
     both limits are multiplied by lam: (sqrt(m-1)/2) pi and slope 1/2.
     """
     _check_k(params, K)
-    m = params.m
-    s0, s1 = fk_zeros(params, K)
-    t0 = s0 ** (1 / (m - 1))
-    t1 = s1 ** (1 / (m - 1))
-
-    def g(tau: np.ndarray) -> np.ndarray:
-        t = t0 + (t1 - t0) * np.asarray(tau)
-        return (m / 2) * t ** (m - 2) / np.sqrt(_pk_eval(params, K, t0, t1, t))
-
-    return quad_chebyshev_endpoint(g, tol=tol)
+    return float(_half_periods(params, np.array([K], dtype=float), tol)[0])
 
 
 def _orbit_interpolant(params: AutonomousParams, K: float):
@@ -244,8 +286,9 @@ def _orbit_interpolant(params: AutonomousParams, K: float):
     t1 = s1 ** (1 / (m - 1))
     n_theta = 32769
     theta = np.linspace(0.0, np.pi, n_theta)
-    tt = t0 + (t1 - t0) * 0.5 * (1.0 - np.cos(theta))
-    g = (m / 2) * tt ** (m - 2) / np.sqrt(_pk_eval(params, K, t0, t1, tt))
+    tau = 0.5 * (1.0 - np.cos(theta))
+    tt = t0 + (t1 - t0) * tau
+    g = _integrand(params, K, t0, t1, tau)
     time_of_theta = np.concatenate(
         ([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(theta)))
     )
@@ -325,6 +368,23 @@ def orbit_reconstruct(
     return spec, traj
 
 
+def _roots_ln_k(params: AutonomousParams, lo, hi, target) -> np.ndarray:
+    """Roots K of eta(K) = target in the brackets [lo, hi], refined together.
+
+    scipy's elementwise Chandrupatla solver in x = ln K, where eta is close
+    to linear as K -> 0, with one batched kernel call per step for all live
+    brackets, until each bracket is ROOT_LN_TOL (plus 4 ulp of x) wide.
+    """
+    from scipy.optimize.elementwise import find_root as find_roots
+
+    res = find_roots(lambda x, tgt: _half_periods(params, np.exp(x)) - tgt,
+                     (np.log(lo), np.log(hi)), args=(target,),
+                     tolerances={"xatol": ROOT_LN_TOL}, maxiter=ROOT_MAX_STEPS)
+    if not np.all(res.success):
+        raise NonConvergence(f"root refinement in ln K ended with status {res.status.tolist()}")
+    return np.exp(res.x)
+
+
 def solutions_count(
     params: AutonomousParams,
     T: float,
@@ -334,9 +394,9 @@ def solutions_count(
 
     Counts the constant solution plus one solution per root of
     eta(K) = T/k for each positive integer k. eta is sampled on a
-    log-spaced K grid; every sign change is root-solved, so multiple
-    roots per k (were eta non-monotone) are all reported, flagged in the
-    diagnostics.
+    log-spaced K grid in one batched kernel call; every sign change is
+    root-solved in ln K, all roots together, so multiple roots per k (were
+    eta non-monotone) are all reported, flagged in the diagnostics.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -349,41 +409,37 @@ def solutions_count(
     k_lo = max(k_lo, 1e-280)
     while True:
         grid = np.geomspace(k_lo, k_hi, grid_size)
-        eta = np.array([half_period(params, Kg) for Kg in grid])
+        eta = _half_periods(params, grid)
         eta_min = float(eta.min())
         if float(eta.max()) >= T or T <= eta_min or k_lo <= 1e-270:
             break
         k_lo = max(k_lo * k_lo / kmax, 1e-280)
 
-    roots: list[tuple[int, float]] = []
+    ks: list[int] = []
+    idx: list[int] = []  # eta crosses T/k in (grid[i], grid[i + 1]) or equals it at grid[i]
+    exact: list[bool] = []
     failures: list[int] = []
     multi: list[int] = []
     k = 1
-    while True:
-        target = T / k
-        if target <= eta_min:
-            break
-        diff = eta - target
-        hits = []
-        for i in range(len(grid) - 1):
-            if diff[i] == 0.0:
-                hits.append(float(grid[i]))
-            elif diff[i] * diff[i + 1] < 0:
-                # eta' ~ -1/((m-1) K): a tolerance relative to K keeps
-                # eta(root) within ~1e-13/(m-1) of the target at every K
-                Kk = find_root(
-                    lambda K, tgt=target: half_period(params, K) - tgt,
-                    float(grid[i]),
-                    float(grid[i + 1]),
-                    tol=1e-13 * float(grid[i]),
-                )
-                hits.append(Kk)
-        if not hits:
+    while T / k > eta_min:
+        diff = eta - T / k
+        on = diff[:-1] == 0.0
+        hits = np.flatnonzero(on | (diff[:-1] * diff[1:] < 0))
+        if hits.size == 0:
             failures.append(k)
-        if len(hits) > 1:
+        if hits.size > 1:
             multi.append(k)
-        roots.extend((k, Kk) for Kk in hits)
+        ks += [k] * hits.size
+        idx += hits.tolist()
+        exact += on[hits].tolist()
         k += 1
+
+    idx_a, cross = np.array(idx, dtype=int), ~np.array(exact, dtype=bool)
+    K_root = grid[idx_a]
+    if cross.any():
+        i, target = idx_a[cross], T / np.array(ks)[cross]
+        K_root[cross] = _roots_ln_k(params, grid[i], grid[i + 1], target)
+    roots = [(kk, float(K)) for kk, K in zip(ks, K_root)]
 
     count = 1 + len({kk for kk, _ in roots})
     diagnostics = {

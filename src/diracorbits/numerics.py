@@ -2,7 +2,8 @@
 
 DOP853 integration of planar fields, one state or many lanes at once,
 bracketed root finding, and Gauss-Chebyshev quadrature for integrands
-carrying an inverse-square-root singularity at both endpoints of [0, 1].
+carrying an inverse-square-root singularity at both endpoints of [0, 1],
+one integral or many lanes at once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ __all__ = [
     "find_root",
     "quad_chebyshev_endpoint",
 ]
+
+# (lane, node) pairs per integrand call in a many-lane quadrature; caps its memory
+QUAD_BLOCK = 1 << 14
 
 PlanarField = Callable[[float, float, float], tuple[float, float]]
 EnergyFn = Callable[[float, float, float], float]
@@ -246,27 +250,52 @@ def find_root(
 
 
 def quad_chebyshev_endpoint(
-    g: Callable[[np.ndarray], np.ndarray],
+    g: Callable[..., np.ndarray],
     tol: float = 1e-12,
     max_nodes: int = 1 << 21,
     min_nodes: int = 16,
-) -> float:
+    lanes: int | None = None,
+) -> float | np.ndarray:
     """Compute the weighted integral of g(tau)/sqrt(tau*(1-tau)) over [0, 1].
 
     Gauss-Chebyshev (first kind) after mapping to [-1, 1]; the node count is
     doubled until two successive estimates agree to ``tol``. With n nodes the
     rule is exact for polynomial g up to degree 2n-1.
+
+    With ``lanes=L`` it computes L integrals at once: ``g(tau, rows)`` gets
+    the n nodes and an index array of lanes and returns a (len(rows), n)
+    array, and the result is an array of L values. Each lane doubles until
+    its own estimates agree; a call holds at most QUAD_BLOCK (lane, node)
+    pairs (one lane once n exceeds it), and a block's unsettled rows go on
+    to 2n before the other lanes at n, so a lane that cannot settle fails
+    early. A lane's value does not depend on the other lanes. A lane that
+    does not settle within ``max_nodes``, or whose estimate is not finite,
+    raises ``NonConvergence``.
     """
-    n = min_nodes
-    prev = None
-    while n <= max_nodes:
+    if lanes is None:
+        return float(_chebyshev_lanes(lambda tau, rows: np.asarray(g(tau), dtype=float)[None],
+                                      1, tol, max_nodes, min_nodes)[0])
+    return _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes)
+
+
+def _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes, block=QUAD_BLOCK) -> np.ndarray:
+    est = np.full(lanes, np.nan)
+    todo = [(np.arange(lanes), min_nodes)]
+    while todo:
+        rows, n = todo.pop()
+        if n > max_nodes:
+            raise NonConvergence(f"quadrature did not settle to {tol} within {max_nodes} nodes")
+        take = max(1, block // n)
+        if rows.size > take:
+            todo.append((rows[take:], n))
+            rows = rows[:take]
         k = np.arange(1, n + 1)
-        x = np.cos((2 * k - 1) * np.pi / (2 * n))
-        tau = 0.5 * (1.0 + x)
-        vals = np.asarray(g(tau), dtype=float)
-        est = float(np.pi / n * np.sum(vals))
-        if prev is not None and abs(est - prev) <= tol:
-            return est
-        prev = est
-        n *= 2
-    raise NonConvergence(f"quadrature did not settle to {tol} within {max_nodes} nodes")
+        tau = 0.5 * (1.0 + np.cos((2 * k - 1) * np.pi / (2 * n)))
+        new = np.pi / n * np.asarray(g(tau, rows), dtype=float).sum(axis=1)
+        if not np.all(np.isfinite(new)):
+            raise NonConvergence(f"quadrature estimate not finite at {n} nodes")
+        settled = np.abs(new - est[rows]) <= tol
+        est[rows] = new
+        if not settled.all():
+            todo.append((rows[~settled], 2 * n))
+    return est

@@ -1,8 +1,9 @@
 """Independent numerical oracles used only by the test suite.
 
 Deliberately different algorithms from the library under test: tanh-sinh
-quadrature (vs Gauss-Chebyshev), plain bisection (vs Brent), so agreement
-is evidence of correctness rather than shared bugs.
+quadrature (vs Gauss-Chebyshev), plain bisection (vs Brent and Newton),
+40-digit mpmath arithmetic, so agreement is evidence of correctness rather
+than shared bugs.
 """
 
 from __future__ import annotations
@@ -83,6 +84,37 @@ def bisect(f, a: float, b: float, tol: float = 1e-14, max_iter: int = 200) -> fl
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def turning_values_mp(m: int, K: float, dps: int = 40) -> tuple[float, float]:
+    """Zeros s0 < s1 of phi(s) = s - (2/m) s^p - K, p = m/(m-1), at dps digits.
+
+    Bisection in x = ln s, so the width test is relative in s at every K;
+    s* = ((m-1)/2)^(m-1) separates the zeros, phi(K/2) < 0 and
+    phi((m/2)^(m-1)) = -K < 0.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        mm, KK = mp.mpf(m), mp.mpf(K)
+        p = mm / (mm - 1)
+
+        def phi(x):
+            return mp.exp(x) - 2 / mm * mp.exp(p * x) - KK
+
+        def bisect_ln(lo, hi):
+            # phi(lo) and phi(hi) differ in sign
+            f_lo = phi(lo)
+            while hi - lo > mp.mpf(10) ** (8 - dps):
+                mid = (lo + hi) / 2
+                if (phi(mid) > 0) == (f_lo > 0):
+                    lo = mid
+                else:
+                    hi = mid
+            return float(mp.exp((lo + hi) / 2))
+
+        x_star = (mm - 1) * mp.log((mm - 1) / 2)
+        return bisect_ln(mp.log(KK / 2), x_star), bisect_ln(x_star, (mm - 1) * mp.log(mm / 2) + 1)
 
 
 def fit_slope(xs, ys) -> float:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from diracorbits.autonomous import (
     AutonomousParams,
+    _half_periods,
+    _turning_values,
     KOutOfRange,
     energy_fn,
     equilibria,
@@ -23,19 +25,28 @@ from diracorbits.autonomous import (
     time_field,
     vector_field,
 )
-from diracorbits.numerics import Tolerances, integrate
-from oracles import bisect, fit_slope, tanh_sinh_quad
+from diracorbits.numerics import NonConvergence, Tolerances, integrate
+from oracles import bisect, fit_slope, tanh_sinh_quad, turning_values_mp
 
 M3 = AutonomousParams(3)
 
 
 def eta_oracle(params, K, tol=1e-11):
-    """Raw singular period integral via tanh-sinh, independent of the library."""
+    """Raw singular period integral via tanh-sinh, independent of the library.
+
+    F_K = phi(z) (z + (2/m) z^p + K) with phi(z) = z - (2/m) z^p - K. Near a
+    turning value s, phi(s + d) = d - (2/m) s^p expm1(p log1p(d/s)), which
+    keeps its relative accuracy where the raw difference of squares cancels.
+    """
+    m, p = params.m, params.p
     s0, s1 = fk_zeros(params, K)
 
     def f_pair(d0, d1):
-        z = s0 + d0 if d0 <= d1 else s1 - d1
-        val = f_k(params, K, z)
+        if d0 <= d1:
+            z, phi = s0 + d0, d0 - (2 / m) * s0 ** p * math.expm1(p * math.log1p(d0 / s0))
+        else:
+            z, phi = s1 - d1, -d1 - (2 / m) * s1 ** p * math.expm1(p * math.log1p(-d1 / s1))
+        val = phi * (z + (2 / m) * z ** p + K)
         if val <= 0:  # roundoff at a turning point; weight there is negligible
             return math.inf
         return 1.0 / (2 * params.lam * math.sqrt(val))
@@ -143,6 +154,29 @@ def test_fk_zeros_merge_near_k0():
     assert abs(s0 - 1) < 1e-3 and abs(s1 - 1) < 1e-3
 
 
+# K/K0 from 1e-40 up to the fold, where s0 and s1 merge like sqrt(K0 - K);
+# 0.49 and 0.51 sit on both sides of the switch to the near-fold form of G
+FOLD_FRACS = ([10.0 ** -e for e in range(40, 0, -3)]
+              + [0.3, 0.49, 0.51, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1 - 1e-9])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fk_zeros_match_40_digit_reference(m):
+    params = AutonomousParams(m)
+    for frac in FOLD_FRACS:
+        K = frac * k0(params)
+        s0, s1 = fk_zeros(params, K)
+        r0, r1 = turning_values_mp(m, K)
+        assert abs(s0 - r0) <= 1e-14 * r0, (frac, s0, r0)
+        assert abs(s1 - r1) <= 1e-14 * r1, (frac, s1, r1)
+
+
+def test_fk_zeros_is_the_batched_entry():
+    Ks = np.array(FOLD_FRACS) * k0(M3)
+    s0, s1 = _turning_values(M3, Ks)
+    assert [fk_zeros(M3, float(K)) for K in Ks] == list(zip(s0.tolist(), s1.tolist()))
+
+
 def test_k_out_of_range():
     for K in (0.0, -0.1, k0(M3), k0(M3) * (1 - 1e-12), 1.0):
         with pytest.raises(KOutOfRange):
@@ -180,7 +214,8 @@ def test_f_k_monotone_in_k(m, kf1, kf2, s):
 
 
 @pytest.mark.parametrize(
-    "m,K_frac", [(2, 0.3), (2, 0.9), (3, 0.1), (3, 0.5), (3, 0.95), (4, 0.3), (4, 0.8)]
+    "m,K_frac", [(2, 0.3), (2, 0.9), (3, 0.1), (3, 0.5), (3, 0.95), (4, 0.3), (4, 0.8),
+                 (2, 0.9999), (3, 0.9999), (4, 0.9999)]
 )
 def test_half_period_matches_singular_integral(m, K_frac):
     params = AutonomousParams(m)
@@ -206,6 +241,26 @@ def test_half_period_log_slope_small_k(m):
     etas = [half_period(params, K) for K in ks]
     slope = fit_slope([math.log(1 / K) for K in ks], etas)
     assert abs(slope - 1 / (m - 1)) < 0.05 / (m - 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_half_period_is_the_kernel_lane_bit_for_bit(m):
+    params = AutonomousParams(m)
+    Ks = np.geomspace(1e-5, 1 - 1e-8, 64) * k0(params)
+    batched = _half_periods(params, Ks)
+    assert [half_period(params, float(K)) for K in Ks] == batched.tolist()
+
+
+def test_unsettled_lane_raises_nonconvergence():
+    # at m = 2 the Chebyshev rule cannot resolve the saddle passage of an
+    # orbit this close to the homoclinic loop; one such lane fails the batch
+    params = AutonomousParams(2)
+    with pytest.raises(NonConvergence):
+        _half_periods(params, np.array([0.1, 2.5e-9, 0.2]))
+    # and solutions_count, whose scan needs K near 4e-9 here, raises
+    # instead of returning a count
+    with pytest.raises(NonConvergence):
+        solutions_count(params, 15.0)
 
 
 def test_half_period_integrand_regular():
@@ -297,6 +352,19 @@ def test_solutions_count_roots_hit_target_relatively(m, T):
     params = AutonomousParams(m)
     _, roots, _ = solutions_count(params, T)
     assert roots
+    for k, K in roots:
+        assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
+
+
+@pytest.mark.parametrize("m,T", [(4, 8.0), (3, 12.0), (5, 6.0), (6, 10.0)])
+def test_solutions_count_where_the_scan_reaches_tiny_k(m, T):
+    # the scan reaches K ~ 1e-14 K0 and below, where an absolute tolerance
+    # on the turning value s0 ~ K made the count raise or come out short
+    params = AutonomousParams(m)
+    count, roots, diag = solutions_count(params, T)
+    assert count == math.ceil(T * math.sqrt(m - 1) / math.pi)
+    assert diag["bracket_failures"] == [] and diag["multi_root_k"] == []
+    assert sorted(k for k, _ in roots) == list(range(1, count))
     for k, K in roots:
         assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
 

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracorbits.numerics import (
+    NonConvergence,
     NonFiniteState,
     NoSignChange,
     StepLimitExceeded,
     Tolerances,
     find_root,
     integrate,
+    _chebyshev_lanes,
     quad_chebyshev_endpoint,
 )
 from oracles import tanh_sinh_quad
@@ -196,6 +198,43 @@ def test_chebyshev_vs_tanh_sinh_oracle():
         f_pair=lambda da, db: math.exp(-da) / ((1 + da) * math.sqrt(da * db)),
     )
     assert abs(got - ref) < 1e-10
+
+
+def _lane_integrand(tau, rows):
+    # lane j integrates exp(-j tau) / (1 + tau)
+    return np.exp(-np.outer(rows, tau)) / (1 + tau)
+
+
+def test_chebyshev_lanes_match_scalar_calls_bit_for_bit():
+    lanes = quad_chebyshev_endpoint(_lane_integrand, tol=1e-13, lanes=40)
+    single = [quad_chebyshev_endpoint(lambda tau, j=j: np.exp(-j * tau) / (1 + tau), tol=1e-13)
+              for j in range(40)]
+    assert lanes.tolist() == single
+    # the block cap splits the calls, not the values
+    small = _chebyshev_lanes(_lane_integrand, 40, 1e-13, 1 << 21, 16, block=64)
+    assert small.tolist() == single
+
+
+def test_chebyshev_lane_that_never_settles_raises():
+    def g(tau, rows):
+        vals = np.ones((rows.size, tau.size))
+        vals[rows == 2] = np.cos(1e4 * tau)  # unresolved below ~1e4 nodes
+        return vals
+
+    with pytest.raises(NonConvergence):
+        quad_chebyshev_endpoint(g, lanes=4, max_nodes=256)
+
+
+def test_chebyshev_nonfinite_lane_raises_at_once():
+    calls = []
+
+    def g(tau, rows):
+        calls.append(tau.size)
+        return np.where(rows[:, None] == 1, np.nan, 1.0) + 0 * tau
+
+    with pytest.raises(NonConvergence):
+        quad_chebyshev_endpoint(g, lanes=3)
+    assert calls == [16]
 
 
 def test_tolerances_validation():
