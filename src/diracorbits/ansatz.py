@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -101,6 +102,12 @@ class SpinorProfile:
     def psi_abs(self) -> np.ndarray:
         return np.hypot(self.f1, self.f2)
 
+    @cached_property
+    def spline(self) -> CubicSpline:
+        """(f1, f2) as one natural cubic spline in ln r, built on first use."""
+        return CubicSpline(np.log(self.r), np.column_stack([self.f1, self.f2]),
+                           bc_type="natural")
+
 
 def default_gamma0(dim: int) -> np.ndarray:
     g = np.zeros(dim, dtype=np.complex128)
@@ -112,7 +119,7 @@ def _x_dot(rep: CliffordRep, x: np.ndarray, gamma0: np.ndarray) -> np.ndarray:
     out = np.zeros(rep.dim, dtype=np.complex128)
     for k in range(rep.m):
         if x[k] != 0.0:
-            out += x[k] * (rep.alphas[k].to_complex() @ gamma0)
+            out += x[k] * (rep.matrices[k] @ gamma0)
     return out
 
 
@@ -185,14 +192,6 @@ def phase_from_profile(profile: SpinorProfile) -> Trajectory:
     )
 
 
-def _splines(profile: SpinorProfile):
-    s = np.log(profile.r)
-    return (
-        CubicSpline(s, profile.f1, bc_type="natural"),
-        CubicSpline(s, profile.f2, bc_type="natural"),
-    )
-
-
 def pde_residual(
     kind: str,
     m: int,
@@ -205,12 +204,12 @@ def pde_residual(
 
     h_nl is 1 for the autonomous kind and (2/(1+|x|^2))^{1/(m-1)} for the
     dissipative kind (m is the system parameter in both exponents).
-    The profile is interpolated by natural cubic splines in ln r.
+    The profile is interpolated by its natural cubic spline in ln r.
     """
     dim = ambient_dim(kind, m)
     if rep.m != dim:
         raise ValueError(f"rep dimension {rep.m} != ambient dimension {dim}")
-    sp1, sp2 = _splines(profile)
+    spline = profile.spline
     r_lo, r_hi = float(profile.r[0]), float(profile.r[-1])
     gamma0 = profile.gamma0
 
@@ -218,8 +217,8 @@ def pde_residual(
         r = float(np.linalg.norm(x))
         if not (r_lo <= r <= r_hi):
             raise PointOutOfRange(f"|x| = {r} outside profile range [{r_lo}, {r_hi}]")
-        s = math.log(r)
-        return ansatz_eval(rep, float(sp1(s)), float(sp2(s)), gamma0, x)
+        f1, f2 = spline(math.log(r))
+        return ansatz_eval(rep, float(f1), float(f2), gamma0, x)
 
     # stencil width 2h in each coordinate must stay inside the sampled radii
     worst = 0.0

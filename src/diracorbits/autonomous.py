@@ -27,7 +27,7 @@ __all__ = [
     "OrbitSpec",
     "KOutOfRange",
     "hamiltonian",
-    "vector_field",
+    "time_field",
     "equilibria",
     "homoclinic",
     "k0",
@@ -108,17 +108,6 @@ def time_field(params: AutonomousParams):
         return nl * v - lam * u, lam * v - nl * u
 
     return field
-
-
-def vector_field(params: AutonomousParams, state) -> tuple[float, float]:
-    return time_field(params)(0.0, *state)
-
-
-def energy_fn(params: AutonomousParams):
-    def en(t: float, u: float, v: float) -> float:
-        return hamiltonian(params, u, v)
-
-    return en
 
 
 def equilibria(params: AutonomousParams) -> list[tuple[float, float]]:
@@ -297,22 +286,27 @@ def _orbit_interpolant(params: AutonomousParams, K: float):
     return s0, s1, eta, z_of_time
 
 
-def _orbit_states(params, K, s0, s1, eta, z_of_time, t_grid: np.ndarray) -> np.ndarray:
-    """(u, v) samples of the periodic orbit at arbitrary times.
+def _sample_orbit(params: AutonomousParams, K: float, n_samples: int, t_span=None):
+    """Quadrature table of the K-orbit and its samples on linspace(*t_span, n_samples).
 
-    The orbit starts at z = s0 with u = v; over [0, eta] w = u^2 - v^2
-    equals -sqrt(F_K(z)) while z rises to s1, then the mirror image
-    returns to s0; the pattern repeats with period 2*eta.
+    The default span is one full period (0, 2 eta). The orbit starts at
+    z = s0 with u = v; over [0, eta] w = u^2 - v^2 equals -sqrt(F_K(z))
+    while z rises to s1, then the mirror image returns to s0; the pattern
+    repeats with period 2*eta.
     """
+    s0, s1, eta, z_of_time = _orbit_interpolant(params, K)
+    t0, t1 = (0.0, 2 * eta) if t_span is None else t_span
+    t_grid = np.linspace(t0, t1, n_samples)
     phase = np.mod(t_grid, 2 * eta)
     half = np.minimum(phase, 2 * eta - phase)  # fold onto [0, eta]
     z = np.clip(z_of_time(half), s0, s1)
-    fk = np.maximum(f_k(params, K, z), 0.0)
-    w = -np.sqrt(fk)
+    w = -np.sqrt(np.maximum(f_k(params, K, z), 0.0))
     w[phase > eta] *= -1.0
     u = np.sqrt(np.maximum((z + w) / 2, 0.0))
     v = np.sqrt(np.maximum((z - w) / 2, 0.0))
-    return np.column_stack([u, v])
+    traj = Trajectory(t_grid, np.column_stack([u, v]), hamiltonian(params, u, v),
+                      terminal_reason="reconstructed")
+    return (s0, s1, eta, z_of_time), traj
 
 
 def periodic_orbit_trajectory(
@@ -323,11 +317,7 @@ def periodic_orbit_trajectory(
 ) -> Trajectory:
     """Periodic extension of the K-orbit sampled over an arbitrary t-span."""
     _check_k(params, K)
-    s0, s1, eta, z_of_time = _orbit_interpolant(params, K)
-    t_grid = np.linspace(t_span[0], t_span[1], n_samples)
-    states = _orbit_states(params, K, s0, s1, eta, z_of_time, t_grid)
-    energy = hamiltonian(params, states[:, 0], states[:, 1])
-    return Trajectory(t_grid, states, energy, terminal_reason="reconstructed")
+    return _sample_orbit(params, K, n_samples, t_span)[1]
 
 
 def orbit_reconstruct(
@@ -342,28 +332,16 @@ def orbit_reconstruct(
     _check_k(params, K)
     if n_samples < 8:
         raise ValueError("n_samples must be >= 8")
-    m = params.m
-    lam = params.lam
-    s0, s1, eta, z_of_time = _orbit_interpolant(params, K)
-    t_grid = np.linspace(0.0, 2 * eta, n_samples)
-    states = _orbit_states(params, K, s0, s1, eta, z_of_time, t_grid)
-    energy = hamiltonian(params, states[:, 0], states[:, 1])
-
+    (s0, s1, eta, z_of_time), traj = _sample_orbit(params, K, n_samples)
     n_half = (n_samples + 1) // 2
     spec = OrbitSpec(
-        m=m,
+        m=params.m,
         K=K,
         s0=s0,
         s1=s1,
         half_period=eta,
         z_samples=np.clip(z_of_time(np.linspace(0.0, eta, n_half)), s0, s1),
-        energy=-lam * K / 2,
-    )
-    traj = Trajectory(
-        t=t_grid,
-        states=states,
-        energy=energy,
-        terminal_reason="reconstructed",
+        energy=-params.lam * K / 2,
     )
     return spec, traj
 

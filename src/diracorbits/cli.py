@@ -134,7 +134,6 @@ def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
         raise UsageError("portrait writes an SVG file and requires --out")
     curves = []
     field = aut.time_field(params)
-    en = aut.energy_fn(params)
     # closed orbits inside the homoclinic loop
     for K in np.linspace(0.2, 0.9, 4) * aut.k0(params):
         if K >= aut.k0(params) * (1 - 1e-6):
@@ -145,7 +144,7 @@ def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
     curves.append(aut.homoclinic(params, np.linspace(-12.0, 12.0, 1201)))
     # a few outside trajectories
     for u0, v0 in ((1.6, 1.6), (-1.2, 1.2)):
-        traj = integrate(field, (u0, v0), (0.0, 4.0), n_samples=801, energy=en)
+        traj = integrate(field, (u0, v0), (0.0, 4.0), n_samples=801)
         curves.append((traj.u, traj.v))
     render_figure(args.out, curves, markers=aut.equilibria(params),
                   title=f"phase portrait, m={params.m}")
@@ -182,7 +181,7 @@ def _autonomous_homoclinic(args, params: aut.AutonomousParams) -> int:
     ts = np.linspace(-10.0, 10.0, 2001)
     u, v = aut.homoclinic(params, ts)
     du, dv = aut.homoclinic_derivative(params, ts)
-    fu, fv = aut.vector_field(params, (u, v))
+    fu, fv = aut.time_field(params)(0.0, u, v)
     res = max(np.max(np.abs(du - fu)), np.max(np.abs(dv - fv)))
     h_max = np.max(np.abs(aut.hamiltonian(params, u, v)))
     payload = {"m": params.m, "t_range": [-10.0, 10.0], "samples": len(ts),

@@ -11,8 +11,8 @@ real/imaginary parts and all identities are checked exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +110,11 @@ class CliffordRep:
     dim: int
     alphas: tuple[GaussianMatrix, ...]
     chirality: GaussianMatrix = field(repr=False)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The alphas as one complex (m, dim, dim) array, built on first use."""
+        return np.array([a.to_complex() for a in self.alphas])
 
 
 def build_rep(m: int) -> CliffordRep:
@@ -214,7 +219,7 @@ def dirac_apply_fd(
         e = np.zeros(rep.m)
         e[k] = h
         dpsi = (np.asarray(spinor_field(x + e)) - np.asarray(spinor_field(x - e))) / (2 * h)
-        out += rep.alphas[k].to_complex() @ dpsi
+        out += rep.matrices[k] @ dpsi
     return out
 
 
@@ -252,7 +257,7 @@ def bundle_iso_m4() -> tuple[np.ndarray, list[np.ndarray], list[tuple[int, compl
         [[0, -1, 0, 1], [-1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, -1, 0]],
         dtype=np.complex128,
     ) / np.sqrt(2)
-    a3 = [a.to_complex() for a in build_rep(3).alphas]
+    a3 = build_rep(3).matrices
     z = np.zeros((2, 2))
     betas = [np.block([[a, z], [z, -a]]) for a in a3]
     betas.append(1j * np.block([[z, np.eye(2)], [-np.eye(2), z]]))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,7 @@ __all__ = [
     "BracketInvalid",
     "TailTooShort",
     "hamiltonian_t",
-    "vector_field_t",
+    "time_field",
     "shoot",
     "sign_changes",
     "boundary_bisect",
@@ -124,17 +125,6 @@ def time_field(params: DissipativeParams):
     return field
 
 
-def vector_field_t(params: DissipativeParams, t: float, state) -> tuple[float, float]:
-    return time_field(params)(t, *state)
-
-
-def energy_fn(params: DissipativeParams):
-    def en(t: float, u: float, v: float) -> float:
-        return hamiltonian_t(params, t, u, v)
-
-    return en
-
-
 def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9) -> int:
     """Count strict sign alternations of one component with hysteresis.
 
@@ -173,17 +163,21 @@ def shoot(
     and the tail decay rate of ln(u^2+v^2) is within fit_tol of -(m-2).
     Otherwise undetermined at the horizon. A NonFiniteState blow-up after
     H <= 0 still classifies as A from the partial trajectory.
+
+    No orbit is followed past the float range: the coupling's cosh(t)
+    overflows at t = 710.48, where a longer t_max ends with H_tail = inf.
+    A class-A orbit grows like u^2 + v^2 <= C cosh t, so the state itself
+    overflows a few units later (t = 717.83 at m = 3, mu = 0.6) however
+    the coupling is written.
     """
     if not mu > 0:
         raise ValueError("mu must be positive")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
 
-    field = time_field(params)
-    en = energy_fn(params)
     try:
-        traj = integrate(field, (mu, mu), (0.0, t_max), tol=tol,
-                         n_samples=n_samples, energy=en)
+        traj = integrate(time_field(params), (mu, mu), (0.0, t_max), tol=tol,
+                         n_samples=n_samples, energy=partial(hamiltonian_t, params))
     except IntegrationError as exc:
         traj = exc.trajectory
         if traj is None or len(traj) < 2:
@@ -392,7 +386,7 @@ def _shoot_lanes(
         raise ValueError("mu must be positive")
     if not mus:
         return []
-    en = energy_fn(params)
+    en = partial(hamiltonian_t, params)
     stop = (lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0))) if trap else None
     try:
         traj = integrate(time_field(params), np.array([mus, mus]), (0.0, t_max),

@@ -263,14 +263,14 @@ def quad_chebyshev_endpoint(
     rule is exact for polynomial g up to degree 2n-1.
 
     With ``lanes=L`` it computes L integrals at once: ``g(tau, rows)`` gets
-    the n nodes and an index array of lanes and returns a (len(rows), n)
+    nodes and an index array of lanes and returns a (len(rows), len(tau))
     array, and the result is an array of L values. Each lane doubles until
     its own estimates agree; a call holds at most QUAD_BLOCK (lane, node)
-    pairs (one lane once n exceeds it), and a block's unsettled rows go on
-    to 2n before the other lanes at n, so a lane that cannot settle fails
-    early. A lane's value does not depend on the other lanes. A lane that
-    does not settle within ``max_nodes``, or whose estimate is not finite,
-    raises ``NonConvergence``.
+    pairs (one lane and a chunk of its n nodes once n exceeds it), and a
+    block's unsettled rows go on to 2n before the other lanes at n, so a
+    lane that cannot settle fails early. A lane's value does not depend on
+    the other lanes. A lane that does not settle within ``max_nodes``, or
+    whose estimate is not finite, raises ``NonConvergence``.
     """
     if lanes is None:
         return float(_chebyshev_lanes(lambda tau, rows: np.asarray(g(tau), dtype=float)[None],
@@ -289,9 +289,16 @@ def _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes, block=QUAD_BLOCK) -> n
         if rows.size > take:
             todo.append((rows[take:], n))
             rows = rows[:take]
-        k = np.arange(1, n + 1)
-        tau = 0.5 * (1.0 + np.cos((2 * k - 1) * np.pi / (2 * n)))
-        new = np.pi / n * np.asarray(g(tau, rows), dtype=float).sum(axis=1)
+        # nodes in chunks of at most `block`; the chunk sums are added
+        # pairwise, numpy's own order for a row of 2^j nodes
+        sums = []
+        for lo in range(0, n, block):
+            k = np.arange(lo + 1, min(n, lo + block) + 1)
+            tau = 0.5 * (1.0 + np.cos((2 * k - 1) * np.pi / (2 * n)))
+            sums.append(np.asarray(g(tau, rows), dtype=float).sum(axis=1))
+        while len(sums) > 1:
+            sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
+        new = np.pi / n * sums[0]
         if not np.all(np.isfinite(new)):
             raise NonConvergence(f"quadrature estimate not finite at {n} nodes")
         settled = np.abs(new - est[rows]) <= tol

@@ -47,7 +47,7 @@ def test_acceptance_02_homoclinic_exactness():
         for t in np.linspace(-10.0, 10.0, 2001):
             u, v = aut.homoclinic(params, float(t))
             du, dv = aut.homoclinic_derivative(params, float(t))
-            fu, fv = aut.vector_field(params, (u, v))
+            fu, fv = aut.time_field(params)(0.0, u, v)
             if abs(du - fu) > 1e-12 or abs(dv - fv) > 1e-12:
                 ok = False
             if abs(aut.hamiltonian(params, u, v)) > 1e-12:
@@ -98,7 +98,7 @@ def test_acceptance_04_orbit_cross_validation():
             (float(u0), float(v0)),
             (0.0, 2 * eta),
             n_samples=2001,
-            energy=aut.energy_fn(params),
+            energy=lambda t, u, v: aut.hamiltonian(params, u, v),
         )
         sup = float(np.max(np.abs(rk.states - recon.states)))
         if sup > 1e-5:
@@ -111,7 +111,7 @@ def test_acceptance_04_orbit_cross_validation():
             (float(u0), float(v0)),
             (0.0, 20 * eta),
             n_samples=4001,
-            energy=aut.energy_fn(params),
+            energy=lambda t, u, v: aut.hamiltonian(params, u, v),
         )
         if np.max(np.abs(long.energy - long.energy[0])) > 1e-8:
             ok = False
@@ -160,7 +160,7 @@ def test_acceptance_06_dissipative_invariants():
             )
 
             def backward(s, u, v, params=params):
-                du, dv = dis.vector_field_t(params, -s, (u, v))
+                du, dv = dis.time_field(params)(-s, u, v)
                 return (-du, -dv)
 
             bwd = integrate(

@@ -36,10 +36,10 @@ from diracorbits.autonomous import (
     periodic_orbit_trajectory,
 )
 from diracorbits.clifford import build_rep
-from diracorbits.dissipative import DissipativeParams, shoot, vector_field_t
+from diracorbits.dissipative import DissipativeParams, shoot, time_field
 from diracorbits.numerics import Tolerances, Trajectory, integrate
+from diracorbits.autonomous import hamiltonian as autonomous_hamiltonian
 from diracorbits.autonomous import time_field as autonomous_field
-from diracorbits.autonomous import energy_fn as autonomous_energy
 
 M3 = AutonomousParams(3)
 
@@ -366,6 +366,19 @@ def test_residual_equals_the_inline_stencil_bit_for_bit():
                     == _residual_loop(kind, m, prof, rep, points, h))
 
 
+def test_profile_spline_is_built_once():
+    points = [[0.5, 0.5, 0.5], [-0.7, 0.2, 1.0]]
+    rep = build_rep(3)
+    prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=2001))
+    hs = (1e-2, 1e-3, 1e-4)
+    shared = [pde_residual("autonomous", 3, prof, rep, points, h) for h in hs]
+    assert prof.spline is prof.spline
+    fresh = [pde_residual("autonomous", 3,
+                          profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=2001)),
+                          rep, points, h) for h in hs]
+    assert shared == fresh
+
+
 def test_residual_point_out_of_range():
     rep = build_rep(3)
     prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=201))
@@ -451,7 +464,7 @@ def test_four_component_reduction_identity():
     for i in range(0, len(out.trajectory), 25):
         t = float(out.trajectory.t[i])
         u, v = out.trajectory.states[i]
-        planar = vector_field_t(params, t, (u, v))
+        planar = time_field(params)(t, u, v)
         doubled = four_component_field(3, t, (u / s, v / s, u / s, v / s))
         assert abs(doubled[0] - planar[0] / s) < 1e-12
         assert abs(doubled[1] - planar[1] / s) < 1e-12
@@ -478,7 +491,7 @@ def test_integrated_orbit_profile_round_trip():
         (0.0, float(2 * eta)),
         Tolerances(1e-12, 1e-12),
         n_samples=801,
-        energy=autonomous_energy(M3),
+        energy=lambda t, u, v: autonomous_hamiltonian(M3, u, v),
     )
     prof = profile_from_phase("autonomous", 3, traj)
     back = phase_from_profile(prof)

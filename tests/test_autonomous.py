@@ -10,7 +10,6 @@ from diracorbits.autonomous import (
     _half_periods,
     _turning_values,
     KOutOfRange,
-    energy_fn,
     equilibria,
     f_k,
     fk_zeros,
@@ -23,7 +22,6 @@ from diracorbits.autonomous import (
     periodic_orbit_trajectory,
     solutions_count,
     time_field,
-    vector_field,
 )
 from diracorbits.numerics import NonConvergence, Tolerances, integrate
 from oracles import bisect, fit_slope, tanh_sinh_quad, turning_values_mp
@@ -69,9 +67,9 @@ def test_hamiltonian_equals_level_at_center():
 
 def test_vector_field_values():
     c = math.sqrt(2) / 2
-    assert np.allclose(vector_field(M3, (c, c)), (0.0, 0.0), atol=1e-15)
-    assert vector_field(M3, (0.0, 0.0)) == (0.0, 0.0)
-    assert np.allclose(vector_field(M3, (1.0, 0.0)), (-1.0, -1.0), atol=1e-15)
+    assert np.allclose(time_field(M3)(0.0, c, c), (0.0, 0.0), atol=1e-15)
+    assert time_field(M3)(0.0, 0.0, 0.0) == (0.0, 0.0)
+    assert np.allclose(time_field(M3)(0.0, 1.0, 0.0), (-1.0, -1.0), atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -111,7 +109,7 @@ def test_homoclinic_is_exact_solution(m):
     for t in np.linspace(-10, 10, 801):
         u, v = homoclinic(params, float(t))
         du, dv = homoclinic_derivative(params, float(t))
-        fu, fv = vector_field(params, (u, v))
+        fu, fv = time_field(params)(0.0, u, v)
         worst = max(worst, abs(du - fu), abs(dv - fv))
     assert worst <= 1e-12
 
@@ -299,6 +297,15 @@ def test_orbit_cross_validates_against_rk():
     assert np.max(np.abs(rk.states - traj.states)) <= 1e-5
 
 
+def test_orbit_reconstruct_is_one_period_of_the_extension():
+    for K, n in ((0.2, 501), (0.01, 2001)):
+        spec, traj = orbit_reconstruct(M3, K, n_samples=n)
+        ext = periodic_orbit_trajectory(M3, K, (0, 2 * spec.half_period), n)
+        assert np.array_equal(ext.t, traj.t)
+        assert np.array_equal(ext.states, traj.states)
+        assert np.array_equal(ext.energy, traj.energy)
+
+
 def test_periodic_extension_consistency():
     spec, traj = orbit_reconstruct(M3, 0.2, n_samples=501)
     period = 2 * spec.half_period
@@ -307,9 +314,8 @@ def test_periodic_extension_consistency():
 
 
 def test_energy_conservation_along_flow():
-    traj = integrate(
-        time_field(M3), (0.3, 0.3), (0.0, 50.0), energy=energy_fn(M3), n_samples=5001
-    )
+    traj = integrate(time_field(M3), (0.3, 0.3), (0.0, 50.0),
+                     energy=lambda t, u, v: hamiltonian(M3, u, v), n_samples=5001)
     assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-8
 
 
@@ -320,7 +326,7 @@ def test_time_reversal_symmetry():
     fwd = integrate(time_field(M3), (mu, mu), (0.0, 5.0), n_samples=501)
 
     def back_field(t, u, v):
-        fu, fv = vector_field(M3, (u, v))
+        fu, fv = time_field(M3)(0.0, u, v)
         return -fu, -fv
 
     bwd = integrate(back_field, (mu, mu), (0.0, 5.0), n_samples=501)
@@ -390,11 +396,10 @@ def test_homoclinic_broadcasts_like_the_scalar_loop(m):
 
 
 def test_field_forms_agree_bit_for_bit():
-    # vector_field and the integrator's time_field are one body
+    # the integrator's time_field is the field's one body
     field = time_field(M3)
     for u, v in ((0.3, -1.1), (2.0, 0.5), (-0.7, -0.2)):
         z = u * u + v * v
         nl = z ** (1 / (M3.m - 1))
         ref = (nl * v - M3.lam * u, M3.lam * v - nl * u)
-        assert vector_field(M3, (u, v)) == ref
         assert field(7.0, u, v) == ref

@@ -166,3 +166,11 @@ def test_bundle_isos_on_random_spinors(m_sel, data):
         lhs = M @ (beta @ psi)
         rhs = c * (alphas[j - 1] @ (M @ psi))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def test_matrices_are_the_alphas_as_one_complex_array():
+    for m in range(1, 9):
+        rep = build_rep(m)
+        assert rep.matrices.shape == (m, rep.dim, rep.dim)
+        for k, a in enumerate(rep.alphas):
+            assert np.array_equal(rep.matrices[k], a.to_complex())

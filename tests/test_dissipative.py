@@ -27,7 +27,6 @@ from diracorbits.dissipative import (
     sign_changes,
     time_field,
     vector_field_rescaled,
-    vector_field_t,
 )
 from diracorbits.numerics import Tolerances, Trajectory, find_root, integrate
 
@@ -74,17 +73,17 @@ def test_hamiltonian_large_time_limit():
 
 def test_vector_field_rest_point():
     for t in (0.0, 1.0, -3.0):
-        assert vector_field_t(P3, t, (0.0, 0.0)) == (0.0, 0.0)
+        assert time_field(P3)(t, 0.0, 0.0) == (0.0, 0.0)
 
 
 def test_vector_field_hand_value():
-    du, dv = vector_field_t(P3, 0.0, (1.0, 1.0))
+    du, dv = time_field(P3)(0.0, 1.0, 1.0)
     assert abs(du - (math.sqrt(2) - 0.5)) < 1e-15
     assert abs(dv - (0.5 - math.sqrt(2))) < 1e-15
 
 
 def test_vector_field_large_time():
-    du, dv = vector_field_t(P3, 200.0, (0.8, 0.5))
+    du, dv = time_field(P3)(200.0, 0.8, 0.5)
     assert abs(du - (-0.5 * 0.8)) < 1e-12
     assert abs(dv - 0.5 * 0.5) < 1e-12
 
@@ -92,12 +91,11 @@ def test_vector_field_large_time():
 @given(st.integers(3, 6), st.floats(0.0, 700.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
 @settings(max_examples=60, deadline=None)
 def test_field_forms_agree_bit_for_bit(m, t, u, v):
-    # vector_field_t and the integrator's time_field are one body
+    # the integrator's time_field is the field's one body
     params = DissipativeParams(m)
     z = u * u + v * v
     nl = math.cosh(t) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
     ref = (nl * v - params.kappa * u, params.kappa * v - nl * u)
-    assert vector_field_t(params, t, (u, v)) == ref
     assert time_field(params)(t, u, v) == ref
 
 
@@ -255,7 +253,7 @@ def test_symmetry_backward_solution():
     )
 
     def backward(s, u, v):
-        du, dv = vector_field_t(P3, -s, (u, v))
+        du, dv = time_field(P3)(-s, u, v)
         return (-du, -dv)
 
     bwd = integrate(backward, (mu, mu), (0.0, 5.0), Tolerances(1e-12, 1e-12), n_samples=501)

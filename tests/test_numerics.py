@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracorbits.numerics import (
+    QUAD_BLOCK,
     NonConvergence,
     NonFiniteState,
     NoSignChange,
@@ -213,6 +214,23 @@ def test_chebyshev_lanes_match_scalar_calls_bit_for_bit():
     # the block cap splits the calls, not the values
     small = _chebyshev_lanes(_lane_integrand, 40, 1e-13, 1 << 21, 16, block=64)
     assert small.tolist() == single
+
+
+def test_chebyshev_lane_past_the_block_is_summed_in_chunks():
+    # sqrt(tau) has an unbounded derivative at 0, so its lane (exact value 2)
+    # doubles far past QUAD_BLOCK nodes; no call may hold more than the block
+    sizes = []
+
+    def g(tau, rows):
+        sizes.append(rows.size * tau.size)
+        return np.where(rows[:, None] == 1, np.sqrt(tau), np.exp(-tau))
+
+    got = _chebyshev_lanes(g, 2, 1e-12, 1 << 21, 16)
+    assert sum(sizes) > 1 << 18  # lane 1 went past 2^16 nodes
+    assert max(sizes) <= QUAD_BLOCK
+    assert abs(got[1] - 2.0) < 1e-11
+    # the chunks change the calls, not the values
+    assert got.tolist() == _chebyshev_lanes(g, 2, 1e-12, 1 << 21, 16, block=1 << 30).tolist()
 
 
 def test_chebyshev_lane_that_never_settles_raises():
