@@ -12,6 +12,7 @@ import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,8 @@ def cmd_ansatz(args) -> int:
     })
     m = int(args.m)
     sub = args.ansatz_cmd
+    if sub == "residual" and not all(h > 0 for h in args.h):
+        raise UsageError("--h steps must be positive")
     profile = _profile_from_source(args, m)
     if sub == "profile":
         rows = zip(profile.r, profile.f1, profile.f2, profile.psi_abs)
@@ -381,18 +384,27 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; under LOG_LEVEL=debug, end with one stderr line on how it went."""
+    start = time.perf_counter()
     _setup_logging()
     parser = _build_parser()
+    command = "(unparsed)"
     try:
         args = parser.parse_args(argv)
+        command = " ".join(filter(None, (args.command, getattr(args, f"{args.command}_cmd", None))))
         return args.func(args)
     except (UsageError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError, IntegrationError,
-            NonConvergence) as exc:
+    except (ValueError, OSError, IntegrationError, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:  # e.g. K0 = ((m-1)/2)^(m-1)/m overflows at m = 1000
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        log.debug("%s: main %.3f s, scipy %s", command, time.perf_counter() - start,
+                  "loaded" if "scipy" in sys.modules else "not loaded")
 
 
 if __name__ == "__main__":

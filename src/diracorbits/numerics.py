@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Tolerances",
@@ -232,6 +231,8 @@ def find_root(
     Brent's method via scipy; converges to bracket width <= tol. The result
     always lies within [a, b].
     """
+    from scipy.optimize import brentq
+
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a

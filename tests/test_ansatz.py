@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
 
 from diracorbits.ansatz import (
     EmptyTrajectory,
@@ -327,14 +326,30 @@ def test_residual_dissipative_homoclinic_limit():
 
 
 def _residual_loop(kind, m, prof, rep, points, h):
-    """pde_residual with its own central-difference loop, as before it used dirac_apply_fd."""
+    """pde_residual with its own central-difference loop and its own Hermite profile."""
     s = np.log(prof.r)
-    sp1 = CubicSpline(s, prof.f1, bc_type="natural")
-    sp2 = CubicSpline(s, prof.f2, bc_type="natural")
+    l = lambda_exp(kind, m)
+    scale = prof.r ** l
+    t, u, v = -s, -prof.f1 * scale, prof.f2 * scale
+    if kind == "autonomous":
+        du, dv = autonomous_field(AutonomousParams(m))(t, u, v)
+    else:
+        f = time_field(DissipativeParams(m))
+        du, dv = np.array([f(*tuv) for tuv in zip(t.tolist(), u.tolist(), v.tolist())]).T
+    d1, d2 = du / scale - l * prof.f1, -dv / scale - l * prof.f2
+
+    def hermite(y, dy, ln_r):
+        i = min(max(int(np.searchsorted(s, ln_r)) - 1, 0), len(s) - 2)
+        step = float(s[i + 1] - s[i])
+        x = (ln_r - float(s[i])) / step
+        a, b = float(y[i]), float(y[i + 1])
+        return (a + x * x * (3 - 2 * x) * (b - a)
+                + step * x * (1 - x) * ((1 - x) * float(dy[i]) - x * float(dy[i + 1])))
 
     def field(x):
         ln_r = math.log(float(np.linalg.norm(x)))
-        return ansatz_eval(rep, float(sp1(ln_r)), float(sp2(ln_r)), prof.gamma0, x)
+        return ansatz_eval(rep, hermite(prof.f1, d1, ln_r), hermite(prof.f2, d2, ln_r),
+                           prof.gamma0, x)
 
     worst = 0.0
     for x in points:
@@ -372,7 +387,7 @@ def test_profile_spline_is_built_once():
     prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=2001))
     hs = (1e-2, 1e-3, 1e-4)
     shared = [pde_residual("autonomous", 3, prof, rep, points, h) for h in hs]
-    assert prof.spline is prof.spline
+    assert prof.hermite is prof.hermite
     fresh = [pde_residual("autonomous", 3,
                           profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=2001)),
                           rep, points, h) for h in hs]

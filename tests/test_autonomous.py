@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracorbits.autonomous import (
+    ROOT_LN_TOL,
     AutonomousParams,
     _half_periods,
+    _roots_ln_k,
     _turning_values,
     KOutOfRange,
     equilibria,
@@ -295,6 +297,43 @@ def test_orbit_cross_validates_against_rk():
         n_samples=2001,
     )
     assert np.max(np.abs(rk.states - traj.states)) <= 1e-5
+
+
+@pytest.mark.parametrize("K_frac", [0.5, 1e-2, 1e-3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_orbit_reconstruct_matches_dop853(m, K_frac):
+    # scipy's DOP853 at rtol 1e-13 from the reconstruction's first state;
+    # a monotone (Pchip) inverse of a cumulative trapezoid was off by
+    # 1.5e-10 to 6.4e-7 relative here
+    from scipy.integrate import solve_ivp
+
+    params = AutonomousParams(m)
+    K = K_frac * k0(params)
+    spec, traj = orbit_reconstruct(params, K, n_samples=2001)
+    assert abs(spec.half_period - half_period(params, K)) <= 1e-12
+    field = time_field(params)
+    ref = solve_ivp(lambda t, y: field(t, *y), (0.0, float(traj.t[-1])), traj.states[0],
+                    method="DOP853", rtol=1e-13, atol=1e-16, t_eval=traj.t)
+    z_ref = ref.y[0] ** 2 + ref.y[1] ** 2
+    z = traj.u ** 2 + traj.v ** 2
+    assert np.max(np.abs(z / z_ref - 1)) <= 1e-10
+    assert np.max(np.abs(traj.energy - spec.energy)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_roots_in_ln_k_agree_with_scipy_chandrupatla(m):
+    from scipy.optimize.elementwise import find_root
+
+    params = AutonomousParams(m)
+    lo, hi = np.full(3, 1e-6 * k0(params)), np.full(3, 0.9 * k0(params))
+    eta_lo, eta_hi = half_period(params, lo[0]), half_period(params, hi[0])
+    target = eta_hi + (eta_lo - eta_hi) * np.array([0.1, 0.5, 0.9])
+    x = np.log(_roots_ln_k(params, lo, hi, target))
+    ref = find_root(lambda x, tgt: _half_periods(params, np.exp(x)) - tgt,
+                    (np.log(lo), np.log(hi)), args=(target,),
+                    tolerances={"xatol": ROOT_LN_TOL}).x
+    assert np.all(np.abs(x - ref) <= 2 * (ROOT_LN_TOL + 4 * np.finfo(float).eps * np.abs(ref)))
+    assert np.all(np.abs(_half_periods(params, np.exp(x)) - target) <= 1e-11 * target)
 
 
 def test_orbit_reconstruct_is_one_period_of_the_extension():

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import diracorbits
 from diracorbits import cli
@@ -63,6 +66,12 @@ def test_bad_flag_exit_1():
     assert run("autonomous", "period", "--no-such-flag", "1") == 1
 
 
+@pytest.mark.parametrize("h", ["0", "-1e-3", "1e-3,0"])
+def test_residual_nonpositive_h_is_usage_error(h, capsys):
+    assert run("ansatz", "residual", "--m", "3", f"--h={h}") == 1
+    assert capsys.readouterr().err.startswith("usage error: --h steps must be positive")
+
+
 def test_bad_value_exit_1():
     # K above the fold energy is a domain error, reported as exit 1
     assert run("autonomous", "period", "--m", "3", "--K", "99.0") == 1
@@ -74,6 +83,8 @@ def test_bad_value_exit_1():
     # at m = 2 the Chebyshev rule cannot resolve the saddle passage of an
     # orbit this close to the homoclinic loop: NonConvergence
     ["autonomous", "period", "--m", "2", "--K", "2.5e-9"],
+    # K0 = ((m-1)/2)^(m-1)/m overflows a float: OverflowError
+    ["autonomous", "period", "--m", "1000"],
 ])
 def test_library_errors_exit_1_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
@@ -416,3 +427,120 @@ def test_non_finite_config_value_is_usage_error(config, tmp_path, capsys):
     cfg.write_text(config)
     assert run("dissipative", "sweep", "--config", str(cfg)) == 1
     _assert_one_usage_error(capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# cold path: the autonomous and ansatz commands run on numpy alone
+
+COLD_PATH = [
+    ["clifford", "--m", "4"],
+    ["autonomous", "period", "--m", "3", "--K", "0.01"],
+    ["autonomous", "orbit", "--m", "2", "--K", "0.05", "--n-samples", "101"],
+    ["autonomous", "bifurcation", "--m", "3", "--T", "5"],
+    ["autonomous", "homoclinic", "--m", "3"],
+    ["ansatz", "residual", "--m", "3", "--source", "orbit", "--K", "0.01"],
+    ["ansatz", "decay", "--m", "3", "--source", "orbit", "--K", "0.01"],
+]
+
+
+def test_cold_path_never_imports_scipy(tmp_path):
+    code = ("import json, sys\n"
+            "from diracorbits.cli import main\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert main(argv + ['--out', f'out{i}']) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(COLD_PATH)], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("K_frac", [1e-1, 1e-2, 1e-3])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_residual_orbit_is_second_order_at_default_h(m, K_frac, capsys):
+    # the default --h is 1e-3, 5e-4, 2.5e-4; a profile interpolated without
+    # its exact slopes floored at m = 2 and the order fell to 0
+    K = K_frac * ((m - 1) / 2) ** (m - 1) / m
+    assert run("ansatz", "residual", "--m", str(m), "--source", "orbit", "--K", repr(K)) == 0
+    res = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[1:]]
+    orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
+    assert all(1.8 <= q <= 2.2 for q in orders), (res, orders)
+
+
+# ---------------------------------------------------------------------------
+# LOG_LEVEL=debug: one stderr line per command, outputs unchanged
+
+
+def _cli(argv, cwd, debug):
+    env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
+    env.pop("LOG_LEVEL", None)
+    if debug:
+        env["LOG_LEVEL"] = "debug"
+    return subprocess.run([sys.executable, "-m", "diracorbits.cli", *argv], cwd=cwd,
+                          capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv,name,scipy", [
+    (SUBCOMMANDS["period"], "autonomous period", "not loaded"),
+    (SUBCOMMANDS["shoot"], "dissipative shoot", "loaded"),
+])
+def test_debug_log_leaves_outputs_byte_identical(argv, name, scipy, tmp_path):
+    plain, debug = _cli(argv, tmp_path, False), _cli(argv, tmp_path, True)
+    assert plain.returncode == debug.returncode == 0
+    assert plain.stdout == debug.stdout and plain.stderr == b""
+    line, = debug.stderr.decode().splitlines()
+    assert line.startswith(f"DEBUG diracorbits: {name}: main ")
+    assert line.endswith(f" s, scipy {scipy}")
+    if scipy == "not loaded":
+        assert _cli(argv + ["--out", "a"], tmp_path, False).returncode == 0
+        assert _cli(argv + ["--out", "b"], tmp_path, True).returncode == 0
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes() == plain.stdout
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: any drawn command line ends with exit 0, 1 or 2, quickly
+
+FUZZ_FLAGS = {
+    "clifford": ["--m"],
+    "autonomous": ["--m", "--K", "--T", "--n-samples"],
+    "dissipative": ["--m", "--mu", "--t-max", "--k", "--tol", "--mu-lo", "--mu-hi", "--T",
+                    "--jobs", "--grid", "--mu-start", "--mu-stop", "--mu-count",
+                    "--decay-threshold", "--fit-tol", "--deadband"],
+    "ansatz": ["--m", "--K", "--mu", "--t-max", "--source", "--end", "--h"],
+}
+FUZZ_COMMANDS = [["clifford"]] + [
+    ["autonomous", sub] for sub in ("portrait", "period", "orbit", "homoclinic", "bifurcation")
+] + [["dissipative", sub] for sub in ("shoot", "sweep", "boundary", "rescaled")] + [
+    ["ansatz", sub] for sub in ("profile", "residual", "decay")]
+FUZZ_FLOATS = ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.05", "0.4", "2.5", "12",
+               "1e300", "abc"]
+FUZZ_INTS = ["-1", "0", "1", "2", "3", "5", "13", "400", "x"]
+# counts stay small: a huge --n-samples or --mu-count asks for a huge output
+FUZZ_VALUES = {
+    "--m": FUZZ_INTS, "--k": FUZZ_INTS, "--jobs": FUZZ_INTS,
+    "--n-samples": ["-1", "0", "8", "300"], "--mu-count": ["-1", "0", "1", "5"],
+    "--source": ["orbit", "homoclinic", "equilibrium", "dissipative", "nowhere"],
+    "--end": ["zero", "infinity", "middle"],
+    "--grid": ["0.2,0.6", "nan", "1e300", "", "-0.5,0.3"],
+    "--h": ["1e-3,5e-4", "0", "-1e-3", "1e300", "1e-300"],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[argv[0]]), max_size=4, unique=True)):
+        argv.append(f"{flag}={draw(st.sampled_from(FUZZ_VALUES.get(flag, FUZZ_FLOATS)))}")
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), "--no-such-flag")
+    return argv
+
+
+@given(fuzz_argv())
+@settings(max_examples=40, deadline=10_000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_argv_fuzz_exits_0_1_or_2(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) in (0, 1, 2)
