@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autonomous, dissipative
 from .clifford import CliffordRep, dirac_apply_fd
-from .numerics import Trajectory
+from .numerics import Trajectory, ls_slope
 
 __all__ = [
     "SpinorProfile",
@@ -296,8 +296,10 @@ def decay_fit(
         raise InsufficientTail(
             f"need >= {min_samples} positive samples in the outermost window"
         )
-    slope = np.polyfit(np.log(r[mask]), np.log(psi[mask]), 1)[0]
-    return float(slope)
+    slope = ls_slope(np.log(r[mask]), np.log(psi[mask]))
+    if slope is None:
+        raise InsufficientTail("the window's radii do not spread; exponent undefined")
+    return slope
 
 
 def four_component_field(m: int, t: float, state) -> tuple[float, float, float, float]:

@@ -25,6 +25,7 @@ from .numerics import (
     Tolerances,
     Trajectory,
     integrate,
+    ls_slope,
 )
 
 __all__ = [
@@ -139,13 +140,16 @@ def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9)
 
 
 def _tail_decay_exponent(traj: Trajectory, window: float = 5.0) -> float | None:
-    """Least-squares slope of ln(u^2+v^2) over the final `window` time units."""
+    """Least-squares slope of ln(u^2+v^2) over the final `window` time units.
+
+    None with fewer than 10 positive samples there, or when their times do
+    not spread (a horizon of a few float spacings).
+    """
     z = traj.u**2 + traj.v**2
     mask = (traj.t >= traj.t[-1] - window) & (z > 0)
     if mask.sum() < 10:
         return None
-    slope = np.polyfit(traj.t[mask], np.log(z[mask]), 1)[0]
-    return float(slope)
+    return ls_slope(traj.t[mask], np.log(z[mask]))
 
 
 def shoot(
@@ -335,7 +339,9 @@ def envelope_check(
         return {"class": "A", "cosh_envelope_C": c, "tail_start": start}
     if np.any(z <= 0):
         raise TailTooShort("tail contains zero magnitude; exponent undefined")
-    slope = float(np.polyfit(traj.t[mask], np.log(z), 1)[0])
+    slope = ls_slope(traj.t[mask], np.log(z))
+    if slope is None:
+        raise TailTooShort("tail times do not spread; exponent undefined")
     return {
         "class": cls,
         "decay_exponent": slope,

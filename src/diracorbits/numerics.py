@@ -1,9 +1,11 @@
 """Shared numeric kernels.
 
-DOP853 integration of planar fields, one state or many lanes at once,
-bracketed root finding, and Gauss-Chebyshev quadrature for integrands
-carrying an inverse-square-root singularity at both endpoints of [0, 1],
-one integral or many lanes at once.
+DOP853 integration of planar fields, one state or many lanes at once (a
+numpy port that steps exactly as scipy's DOP853, so no command loads
+scipy), bracketed root finding (scipy's Brent, imported when called),
+closed-form least-squares slopes, and Gauss-Chebyshev quadrature for
+integrands carrying an inverse-square-root singularity at both endpoints
+of [0, 1], one integral or many lanes at once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import _dop853
 
 __all__ = [
     "Tolerances",
@@ -25,10 +29,15 @@ __all__ = [
     "integrate",
     "find_root",
     "quad_chebyshev_endpoint",
+    "ls_slope",
 ]
 
 # (lane, node) pairs per integrand call in a many-lane quadrature; caps its memory
 QUAD_BLOCK = 1 << 14
+EPS = np.finfo(float).eps
+# stage nodes as Python floats and the rows A[s, :s] of the DOP853 tableau
+_C = _dop853.C.tolist()
+_A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
 
 PlanarField = Callable[[float, float, float], tuple[float, float]]
 EnergyFn = Callable[[float, float, float], float]
@@ -110,15 +119,25 @@ def integrate(
     energy: EnergyFn | None = None,
     stop: StopFn | None = None,
 ) -> Trajectory:
-    """Integrate a planar field with scipy's DOP853 (Dormand-Prince 8(5,3)).
+    """Integrate a planar field with DOP853 (Dormand-Prince 8(5,3)).
+
+    The method is Hairer, Norsett and Wanner's (*Solving ODEs I*, Sec. II.10)
+    with scipy's step control, so the steps and samples are the doubles of
+    ``scipy.integrate.DOP853`` stepped one step at a time: the step error is
+    the 5th/3rd-order blend in the RMS norm over all components with
+    rtol = max(``tol.rel_tol``, 100 eps) and atol = ``tol.abs_tol``, the
+    step factor is 0.9 err^(-1/8) within [0.2, 10] (at most 1 right after a
+    rejection), and the first step follows Hairer's rule. The tableau is in
+    ``diracorbits._dop853``.
 
     ``y0`` is one state (u, v) or a (2, n) array of n independent lanes,
     solved together as one 2n-dimensional system; ``field(t, u, v)`` then
-    receives u and v as arrays of length n. Steps are controlled per step
-    with rtol = ``tol.rel_tol`` and atol = ``tol.abs_tol``. Samples on a
-    uniform grid of ``n_samples`` points come from the solver's dense
-    output. ``energy(t, u, v)``, when given, is called once on the sample
-    arrays and stored on the trajectory.
+    receives u and v as arrays of length n (one lane gets Python floats).
+    Samples on a uniform grid of ``n_samples`` points come from the
+    7th-order dense output of each step, which costs 3 more field
+    evaluations per step that reaches a new sample. ``energy(t, u, v)``,
+    when given, is called once on the sample arrays and stored on the
+    trajectory.
 
     ``stop(t, u, v)``, when given, is called on the latest grid sample after
     each dense-output fill. Once it returns true the solve ends: the
@@ -127,13 +146,12 @@ def integrate(
     once true (as H <= 0 does for a dissipative energy), so that sample is
     the first one on the grid where it holds.
 
-    Raises StepLimitExceeded after ``tol.max_steps`` step attempts, and
-    NonFiniteState when the state turns non-finite or the step size
-    collapses (as at a finite-time blow-up); both carry the grid samples
-    reached so far merged with the ends of the accepted steps.
+    Raises StepLimitExceeded once ``tol.max_steps`` step attempts are spent
+    (checked between steps), and NonFiniteState when the state turns
+    non-finite or the step falls below 10 float spacings of t (as at a
+    finite-time blow-up); both carry the grid samples reached so far merged
+    with the ends of the accepted steps.
     """
-    from scipy.integrate import DOP853
-
     t0, t1 = float(t_span[0]), float(t_span[1])
     y0 = np.asarray(y0, dtype=float)
     if not (math.isfinite(t0) and math.isfinite(t1) and np.all(np.isfinite(y0))):
@@ -145,6 +163,7 @@ def integrate(
     if y0.ndim not in (1, 2) or y0.shape[0] != 2:
         raise ValueError("y0 must have shape (2,) or (2, n)")
     shape = y0.shape
+    rtol, atol = max(tol.rel_tol, 100 * EPS), np.asarray(tol.abs_tol)
 
     def rhs(t, y):
         f = np.empty(shape)
@@ -159,12 +178,8 @@ def integrate(
     states = np.empty((n_samples,) + shape)
     states[0] = y0
     filled = 1
-    accepted = dense_calls = 0
+    attempts = accepted = 0
     node_t, node_y = [], []
-
-    def attempts() -> int:
-        # each step attempt costs n_stages evaluations, each dense output 3
-        return (solver.nfev - nfev0 - 3 * dense_calls) // solver.n_stages
 
     def partial(reason: str) -> Trajectory:
         # grid samples so far merged with the accepted step ends, so a
@@ -174,41 +189,120 @@ def integrate(
         t, first = np.unique(t, return_index=True)
         ys = ys[first]
         return Trajectory(t, ys, _energies(energy, t, ys), accepted,
-                          attempts() - accepted, reason)
+                          attempts - accepted, reason)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(np.isfinite(rhs(t0, y0.ravel()))):
+        t, y = t0, y0.ravel()
+        f = rhs(t, y)
+        if not np.all(np.isfinite(f)):
             raise NonFiniteState("field non-finite at initial state")
-        solver = DOP853(rhs, t0, y0.ravel(), t1, rtol=tol.rel_tol, atol=tol.abs_tol)
-        nfev0 = solver.nfev
-        while solver.status == "running":
-            if attempts() >= tol.max_steps:
+        h_abs = _initial_step(rhs, t, y, f, t1 - t0, rtol, atol)
+        # rows 0-12: the step's stages and the field at its end; 13-15: dense output
+        K = np.empty((_dop853.N_STAGES_EXTENDED, y.size))
+        while True:
+            if attempts >= tol.max_steps:
                 raise StepLimitExceeded("max_steps exceeded", partial("step_limit"))
-            message = solver.step()
-            if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
-                raise NonFiniteState(f"state or field became non-finite ({message})",
-                                     partial("non_finite"))
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise NonFiniteState("step size fell below 10 float spacings of t",
+                                         partial("non_finite"))
+                t_new = min(t + h_abs, t1)
+                h = t_new - t
+                h_abs = h
+                y_new, f_new = _rk_step(rhs, t, y, f, h, K)
+                attempts += 1
+                err = _error_norm(K, h, atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+                if err < 1:
+                    factor = 10 if err == 0 else min(10, 0.9 * err ** (-1 / 8))
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(0.2, 0.9 * err ** (-1 / 8))
+                rejected = True
+            if not np.all(np.isfinite(y_new)):
+                raise NonFiniteState("state or field became non-finite", partial("non_finite"))
+            t_old, y_old, f_old, t, y, f = t, y, f, t_new, y_new, f_new
             accepted += 1
-            node_t.append(solver.t)
-            node_y.append(solver.y)
-            if solver.status == "finished":
+            node_t.append(t)
+            node_y.append(y)
+            if t >= t1:
                 end = n_samples - 1
-                states[-1] = solver.y.reshape(shape)
+                states[-1] = y.reshape(shape)
             else:
-                end = int(np.searchsorted(t_grid, solver.t, side="right"))
+                end = int(np.searchsorted(t_grid, t, side="right"))
             if end > filled:
-                dense_calls += 1
-                ys = solver.dense_output()(t_grid[filled:end])
-                states[filled:end] = ys.T.reshape((-1,) + shape)
+                ys = _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, t_grid[filled:end])
+                states[filled:end] = ys.reshape((-1,) + shape)
                 if stop is not None and stop(t_grid[end - 1], *states[end - 1]):
                     first = next(i for i in range(filled, end)
                                  if stop(t_grid[i], *states[i]))
                     t, ys = t_grid[:first + 1], states[:first + 1]
                     return Trajectory(t, ys, _energies(energy, t, ys), accepted,
-                                      attempts() - accepted, "stopped")
+                                      attempts - accepted, "stopped")
                 filled = end
-        return Trajectory(t_grid, states, _energies(energy, t_grid, states), accepted,
-                          attempts() - accepted)
+            if t >= t1:
+                return Trajectory(t_grid, states, _energies(energy, t_grid, states),
+                                  accepted, attempts - accepted)
+
+
+def _initial_step(rhs, t0, y0, f0, interval, rtol, atol) -> float:
+    """Hairer's first-step rule (*Solving ODEs I*, Sec. II.4) for error order 7."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval)
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _rk_step(rhs, t, y, f, h, K):
+    """One DOP853 step of size h; fills K[:13] with the stages and f(t + h)."""
+    K[0] = f
+    for s in range(1, _dop853.N_STAGES):
+        K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A_ROWS[s]) * h)
+    y_new = y + h * np.dot(K[:_dop853.N_STAGES].T, _dop853.B)
+    K[_dop853.N_STAGES] = f_new = rhs(t + h, y_new)
+    return y_new, f_new
+
+
+def _error_norm(K, h, scale) -> float:
+    """The step's error relative to ``scale``: the 5th-order estimate, damped
+    by the 3rd where the two disagree (Hairer's DOP853)."""
+    err5 = np.dot(K[:_dop853.N_STAGES + 1].T, _dop853.E5) / scale
+    err3 = np.dot(K[:_dop853.N_STAGES + 1].T, _dop853.E3) / scale
+    err5_2, err3_2 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+    if err5_2 == 0 and err3_2 == 0:
+        return 0.0
+    return abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+
+
+def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, ts) -> np.ndarray:
+    """The step's 7th-order interpolant at times ``ts``, one row per time."""
+    for s in range(_dop853.N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
+        K[s] = rhs(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A_ROWS[s]) * h)
+    F = np.empty((_dop853.INTERPOLATOR_POWER, y.size))
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(_dop853.D, K)
+    x = ((ts - t_old) / h)[:, None]
+    out = np.zeros((len(ts), y.size))
+    for i, coef in enumerate(F[::-1]):
+        out += coef
+        out *= x if i % 2 == 0 else 1 - x
+    return out + y_old
 
 
 def _energies(energy: EnergyFn | None, t: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -295,7 +389,8 @@ def _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes, block=QUAD_BLOCK) -> n
         sums = []
         for lo in range(0, n, block):
             k = np.arange(lo + 1, min(n, lo + block) + 1)
-            tau = 0.5 * (1.0 + np.cos((2 * k - 1) * np.pi / (2 * n)))
+            # cos^2 of the half angle keeps tau's relative digits near 0
+            tau = np.cos((2 * k - 1) * np.pi / (4 * n)) ** 2
             sums.append(np.asarray(g(tau, rows), dtype=float).sum(axis=1))
         while len(sums) > 1:
             sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
@@ -307,3 +402,17 @@ def _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes, block=QUAD_BLOCK) -> n
         if not settled.all():
             todo.append((rows[~settled], 2 * n))
     return est
+
+
+def ls_slope(x: np.ndarray, y: np.ndarray) -> float | None:
+    """Least-squares slope of y against x in closed form, cov(x, y)/var(x).
+
+    None when var(x) is 0 or not finite, as for x within a few float
+    spacings of each other, where no line through the points has a slope.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        var = float(dx @ dx)
+        if not (math.isfinite(var) and var > 0):
+            return None
+        return float(dx @ (y - y.mean())) / var

@@ -82,7 +82,7 @@ def test_bad_value_exit_1():
     ["dissipative", "shoot", "--m", "3", "--mu", "1e200"],
     # at m = 2 the Chebyshev rule cannot resolve the saddle passage of an
     # orbit this close to the homoclinic loop: NonConvergence
-    ["autonomous", "period", "--m", "2", "--K", "2.5e-9"],
+    ["autonomous", "period", "--m", "2", "--K", "1e-30"],
     # K0 = ((m-1)/2)^(m-1)/m overflows a float: OverflowError
     ["autonomous", "period", "--m", "1000"],
 ])
@@ -430,7 +430,7 @@ def test_non_finite_config_value_is_usage_error(config, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# cold path: the autonomous and ansatz commands run on numpy alone
+# cold path: every command runs on numpy alone
 
 COLD_PATH = [
     ["clifford", "--m", "4"],
@@ -438,8 +438,15 @@ COLD_PATH = [
     ["autonomous", "orbit", "--m", "2", "--K", "0.05", "--n-samples", "101"],
     ["autonomous", "bifurcation", "--m", "3", "--T", "5"],
     ["autonomous", "homoclinic", "--m", "3"],
+    ["autonomous", "portrait", "--m", "3"],
     ["ansatz", "residual", "--m", "3", "--source", "orbit", "--K", "0.01"],
     ["ansatz", "decay", "--m", "3", "--source", "orbit", "--K", "0.01"],
+    ["ansatz", "profile", "--m", "3", "--source", "dissipative", "--mu", "0.6",
+     "--t-max", "10"],
+    SUBCOMMANDS["shoot"],
+    SUBCOMMANDS["sweep"],
+    SUBCOMMANDS["boundary"],
+    SUBCOMMANDS["rescaled"],
 ]
 
 
@@ -483,7 +490,7 @@ def _cli(argv, cwd, debug):
 
 @pytest.mark.parametrize("argv,name,scipy", [
     (SUBCOMMANDS["period"], "autonomous period", "not loaded"),
-    (SUBCOMMANDS["shoot"], "dissipative shoot", "loaded"),
+    (SUBCOMMANDS["shoot"], "dissipative shoot", "not loaded"),
 ])
 def test_debug_log_leaves_outputs_byte_identical(argv, name, scipy, tmp_path):
     plain, debug = _cli(argv, tmp_path, False), _cli(argv, tmp_path, True)
@@ -496,6 +503,20 @@ def test_debug_log_leaves_outputs_byte_identical(argv, name, scipy, tmp_path):
         assert _cli(argv + ["--out", "a"], tmp_path, False).returncode == 0
         assert _cli(argv + ["--out", "b"], tmp_path, True).returncode == 0
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes() == plain.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["dissipative", "shoot", "--mu", "2.5", "--t-max", "1e-300"],
+    ["dissipative", "sweep", "--grid", "0.2,0.6", "--t-max", "1e-300"],
+])
+def test_horizon_too_short_for_a_tail_fit_writes_only_the_output(argv, tmp_path):
+    # the sample times all lie within float spacings of 1e-300, where a tail
+    # fit has no slope; stdout holds the command's output and nothing else
+    plain = _cli(argv, tmp_path, False)
+    assert plain.returncode in (0, 2), plain.stderr
+    assert b"DLASCL" not in plain.stdout + plain.stderr
+    assert _cli(argv + ["--out", "a"], tmp_path, False).returncode == plain.returncode
+    assert (tmp_path / "a").read_bytes() == plain.stdout
 
 
 # ---------------------------------------------------------------------------

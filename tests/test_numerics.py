@@ -1,4 +1,6 @@
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ from diracorbits.numerics import (
     Tolerances,
     find_root,
     integrate,
+    ls_slope,
     _chebyshev_lanes,
     quad_chebyshev_endpoint,
 )
+from diracorbits import _dop853
+from diracorbits.dissipative import DissipativeParams, hamiltonian_t, time_field
 from oracles import tanh_sinh_quad
 
 
@@ -137,6 +142,107 @@ def test_stop_that_never_fires_is_bit_identical():
     assert never.terminal_reason == "completed"
 
 
+# ---------------------------------------------------------------------------
+# parity with scipy's DOP853, stepped one step at a time as integrate steps
+
+
+def _scipy_dop853(field, y0, t_span, tol=Tolerances(), n_samples=1001, stop=None):
+    """Grid, samples and step counts of scipy.integrate.DOP853 driven step by
+    step with dense output on the uniform grid, as ``integrate`` once did."""
+    from scipy.integrate import DOP853
+
+    y0 = np.asarray(y0, dtype=float)
+    shape = y0.shape
+
+    def rhs(t, y):
+        f = np.empty(shape)
+        f[0], f[1] = field(t, *(y.reshape(shape) if y0.ndim == 2 else y.tolist()))
+        return f.ravel()
+
+    t_grid = np.linspace(*t_span, n_samples)
+    states = np.empty((n_samples,) + shape)
+    states[0] = y0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the rtol floor warns
+        solver = DOP853(rhs, t_span[0], y0.ravel(), t_span[1], rtol=tol.rel_tol,
+                        atol=tol.abs_tol)
+    nfev0, filled, accepted, dense, n_out = solver.nfev, 1, 0, 0, n_samples
+    while solver.status == "running":
+        solver.step()
+        assert solver.status != "failed"
+        accepted += 1
+        if solver.status == "finished":
+            end = n_samples - 1
+            states[-1] = solver.y.reshape(shape)
+        else:
+            end = int(np.searchsorted(t_grid, solver.t, side="right"))
+        if end > filled:
+            dense += 1
+            ys = solver.dense_output()(t_grid[filled:end])
+            states[filled:end] = ys.T.reshape((-1,) + shape)
+            if stop is not None and stop(t_grid[end - 1], *states[end - 1]):
+                n_out = next(i for i in range(filled, end) if stop(t_grid[i], *states[i])) + 1
+                break
+            filled = end
+    # 12 field evaluations per step attempt, 3 per dense output
+    attempts = (solver.nfev - nfev0 - 3 * dense) // 12
+    return t_grid[:n_out], states[:n_out], accepted, attempts - accepted
+
+
+def _assert_same_as_scipy(field, y0, t_span, **kw):
+    traj = integrate(field, y0, t_span, **kw)
+    kw.pop("energy", None)
+    t, states, accepted, rejected = _scipy_dop853(field, y0, t_span, **kw)
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.states, states)
+    assert (traj.steps_accepted, traj.steps_rejected) == (accepted, rejected)
+    return traj
+
+
+def test_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(_dop853, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_one_lane_matches_scipy_dop853_bit_for_bit(m):
+    params = DissipativeParams(m)
+    for mu in (0.3, 0.6, 7.0):
+        _assert_same_as_scipy(time_field(params), (mu, mu), (0.0, 60.0), n_samples=4001)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_stacked_lanes_match_scipy_dop853_bit_for_bit(m):
+    mus = np.geomspace(0.2, 10.0, 15)
+    _assert_same_as_scipy(time_field(DissipativeParams(m)), np.array([mus, mus]),
+                          (0.0, 60.0), n_samples=4001)
+
+
+def test_stop_run_matches_scipy_dop853_bit_for_bit():
+    params = DissipativeParams(3)
+    en = partial(hamiltonian_t, params)
+    mus = np.geomspace(0.2, 10.0, 15)
+    traj = _assert_same_as_scipy(time_field(params), np.array([mus, mus]), (0.0, 60.0),
+                                 n_samples=4001, energy=en,
+                                 stop=lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0)))
+    assert traj.terminal_reason == "stopped" and traj.t[-1] < 60.0
+
+
+def test_rtol_below_floor_matches_scipy_dop853_bit_for_bit():
+    # scipy raises rtol to 100 eps; integrate floors it the same way, silently
+    tol = Tolerances(abs_tol=1e-14, rel_tol=1e-16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_as_scipy(time_field(DissipativeParams(4)), (0.8, 0.8), (0.0, 5.0),
+                              tol=tol, n_samples=501)
+    floor = Tolerances(abs_tol=1e-14, rel_tol=100 * np.finfo(float).eps)
+    low = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), (0.0, 3.0), tol=tol)
+    at = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), (0.0, 3.0), tol=floor)
+    assert np.array_equal(low.states, at.states)
+
+
 def test_find_root_sqrt2():
     x = find_root(lambda x: x * x - 2, 1.0, 2.0, tol=1e-12)
     assert abs(x - math.sqrt(2)) < 1e-12
@@ -253,6 +359,16 @@ def test_chebyshev_nonfinite_lane_raises_at_once():
     with pytest.raises(NonConvergence):
         quad_chebyshev_endpoint(g, lanes=3)
     assert calls == [16]
+
+
+def test_ls_slope_matches_polyfit_and_needs_spread_x():
+    x = np.linspace(0.0, 5.0, 50)
+    y = 3.0 - 2.5 * x + 0.1 * np.sin(7.0 * x)
+    assert abs(ls_slope(x, y) - np.polyfit(x, y, 1)[0]) <= 1e-13
+    # times within float spacings of 1e-300: var(x) underflows to 0
+    assert ls_slope(np.linspace(0.0, 1e-300, 50), y) is None
+    assert ls_slope(np.full(50, 2.0), y) is None
+    assert ls_slope(np.array([0.0, 1e300, -1e300]), y[:3]) is None
 
 
 def test_tolerances_validation():
