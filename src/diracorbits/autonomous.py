@@ -43,7 +43,10 @@ __all__ = [
 DEGENERATE_CUTOFF = 1e-10
 # Newton steps allowed per turning value: ~20 near the fold, a few elsewhere
 NEWTON_MAX = 100
-# solutions_count refines its roots in ln K to this bracket width
+# solutions_count samples eta at this many evenly spaced x = ln K, no lower
+# than SCAN_X_MIN, and refines its roots in x to this bracket width
+SCAN_POINTS = 128
+SCAN_X_MIN = math.log(1e-280)
 ROOT_LN_TOL = 1e-13
 ROOT_MAX_STEPS = 100
 # orbit time tables: knot counts and the z accuracy their Hermite inverse must reach
@@ -388,10 +391,11 @@ def orbit_reconstruct(
     return spec, traj
 
 
-def _roots_ln_k(params: AutonomousParams, lo, hi, target) -> np.ndarray:
-    """Roots K of eta(K) = target in the sign-changing brackets [lo, hi], refined together.
+def _roots_ln_k(params: AutonomousParams, x1, x2, f1, f2, target) -> np.ndarray:
+    """Roots K of eta(K) = target in the sign-changing brackets [x1, x2] of x = ln K.
 
-    Chandrupatla's method (1997, Adv. Eng. Softw. 28) in x = ln K, where
+    f1, f2 are eta(exp(x)) - target at the bracket ends, as the scan found
+    them. Chandrupatla's method (1997, Adv. Eng. Softw. 28) in x, where
     eta is close to linear as K -> 0: inverse quadratic interpolation
     through the bracket ends and the last discarded point when it is safe,
     bisection otherwise, with the step kept a tolerance away from the
@@ -399,13 +403,8 @@ def _roots_ln_k(params: AutonomousParams, lo, hi, target) -> np.ndarray:
     bracket ends once it is narrower than ROOT_LN_TOL plus 4 ulp of x, or
     once eta hits the target exactly, and gives its end nearer the root.
     """
-    def f(x, rows):
-        return _half_periods(params, np.exp(x)) - target[rows]
-
-    n = lo.size
+    n = x1.size
     live = np.arange(n)
-    x1, x2 = np.log(lo), np.log(hi)
-    f1, f2 = np.split(f(np.concatenate([x1, x2]), np.tile(live, 2)), 2)
     x3 = f3 = None
     t = np.full(n, 0.5)
     root = np.empty(n)
@@ -433,7 +432,7 @@ def _roots_ln_k(params: AutonomousParams, lo, hi, target) -> np.ndarray:
                              - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
             t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
         x = x1 + t * (x2 - x1)
-        fx = f(x, live)
+        fx = _half_periods(params, np.exp(x)) - target[live]
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
@@ -442,37 +441,40 @@ def _roots_ln_k(params: AutonomousParams, lo, hi, target) -> np.ndarray:
 
 
 def solutions_count(
-    params: AutonomousParams,
-    T: float,
-    grid_size: int = 512,
+    params: AutonomousParams, T: float
 ) -> tuple[int, list[tuple[int, float]], dict]:
     """Count closed solutions whose full period 2*eta fits T exactly k times.
 
     Counts the constant solution plus one solution per root of
-    eta(K) = T/k for each positive integer k. eta is sampled on a
-    log-spaced K grid in one batched kernel call; every sign change is
-    root-solved in ln K, all roots together, so multiple roots per k (were
-    eta non-monotone) are all reported, flagged in the diagnostics.
+    eta(K) = T/k for each positive integer k. eta is sampled in one
+    batched kernel call on SCAN_POINTS values of x = ln K, evenly spaced
+    from a floor up to K0. At the floor the asymptote
+    ln(2 m^(m-1)/K)/(m-1), which eta exceeds, is T + 1; should eta there
+    still fall short of T, the floor is lowered and the scan repeated.
+    Every sign change is root-solved in ln K from the scan's own values,
+    all roots together, so multiple roots per k (were eta non-monotone)
+    are all reported, flagged in the diagnostics.
     """
     if not T > 0:
         raise ValueError("T must be positive")
+    m = params.m
     kmax = k0(params)
-    k_hi = kmax * (1.0 - 1e-8)
-    # eta grows like ln(1/K)/(m-1) as K -> 0, so this floor puts the
-    # largest sampled eta comfortably above any target period T/k <= T.
-    # Going lower than needed only makes the quadrature near K ~ 0 harder.
-    k_lo = kmax * min(1e-2, math.exp(-(params.m - 1) * (T + 3.0)))
-    k_lo = max(k_lo, 1e-280)
+    x_hi = math.log(kmax * (1.0 - 1e-8))
+    # eta(K) > ln(2 m^(m-1)/K)/(m-1) at every K measured, the gap falling
+    # to 0 as K -> 0 (docs/decisions.md), so eta > T + 1 at this floor.
+    # Deeper lanes only cost more quadrature nodes.
+    x_lo = min(math.log(1e-2 * kmax), math.log(2.0) + (m - 1) * (math.log(m) - T - 1.0))
+    x_lo = max(x_lo, SCAN_X_MIN)
     while True:
-        grid = np.geomspace(k_lo, k_hi, grid_size)
-        eta = _half_periods(params, grid)
+        x = np.linspace(x_lo, x_hi, SCAN_POINTS)
+        eta = _half_periods(params, np.exp(x))
         eta_min = float(eta.min())
-        if float(eta.max()) >= T or T <= eta_min or k_lo <= 1e-270:
+        if float(eta.max()) >= T or T <= eta_min or x_lo == SCAN_X_MIN:
             break
-        k_lo = max(k_lo * k_lo / kmax, 1e-280)
+        x_lo = max(2 * x_lo - math.log(kmax), SCAN_X_MIN)
 
     ks: list[int] = []
-    idx: list[int] = []  # eta crosses T/k in (grid[i], grid[i + 1]) or equals it at grid[i]
+    idx: list[int] = []  # eta crosses T/k in (x[i], x[i + 1]) or equals it at x[i]
     exact: list[bool] = []
     failures: list[int] = []
     multi: list[int] = []
@@ -491,10 +493,11 @@ def solutions_count(
         k += 1
 
     idx_a, cross = np.array(idx, dtype=int), ~np.array(exact, dtype=bool)
-    K_root = grid[idx_a]
+    K_root = np.exp(x[idx_a])
     if cross.any():
         i, target = idx_a[cross], T / np.array(ks)[cross]
-        K_root[cross] = _roots_ln_k(params, grid[i], grid[i + 1], target)
+        K_root[cross] = _roots_ln_k(params, x[i], x[i + 1],
+                                    eta[i] - target, eta[i + 1] - target, target)
     roots = [(kk, float(K)) for kk, K in zip(ks, K_root)]
 
     count = 1 + len({kk for kk, _ in roots})

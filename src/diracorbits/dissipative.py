@@ -22,6 +22,7 @@ import numpy as np
 
 from .numerics import (
     IntegrationError,
+    StepLimitExceeded,
     Tolerances,
     Trajectory,
     integrate,
@@ -47,6 +48,9 @@ __all__ = [
 
 # interior points classified per boundary_bisect round: 4 bits per solve
 BISECT_LANES = 15
+# step attempts per turn of the orbit near t = 0 are at least this many at
+# rtol 1e-10; measured no fewer than 17.4 for m = 3..12, mu = 10..1e4
+MIN_ATTEMPTS_PER_TURN = 5.0
 
 
 class BracketInvalid(ValueError):
@@ -178,6 +182,7 @@ def shoot(
         raise ValueError("mu must be positive")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
+    _check_work(params, mu, t_max, tol)
 
     try:
         traj = integrate(time_field(params), (mu, mu), (0.0, t_max), tol=tol,
@@ -188,6 +193,25 @@ def shoot(
             raise
 
     return _classify(params, mu, traj, thresholds)
+
+
+def _check_work(params: DissipativeParams, mu: float, t_max: float, tol: Tolerances) -> None:
+    """Raise StepLimitExceeded at once if the first turns alone outspend ``tol.max_steps``.
+
+    Near t = 0 the orbit from (mu, mu) turns at the rate (2 mu^2)^(1/(m-1))
+    and keeps about that rate until t = 1, so the solve needs at least
+    MIN_ATTEMPTS_PER_TURN attempts per turn made by min(t_max, 1); an
+    8th-order step grows like tol^(1/8), which scales that count to a
+    looser ``tol``. An infinite z = 2 mu^2 is left to ``integrate``.
+    """
+    span = min(t_max, 1.0)
+    turns = (2 * mu * mu) ** (1 / (params.m - 1)) * span / (2 * math.pi)
+    loosest = max(tol.rel_tol, tol.abs_tol, 100 * np.finfo(float).eps)
+    need = MIN_ATTEMPTS_PER_TURN * turns * (1e-10 / loosest) ** (1 / 8)
+    if math.isfinite(need) and need > tol.max_steps:
+        raise StepLimitExceeded(
+            f"mu = {mu!r} turns about {turns:.3g} times by t = {span!r}, which needs "
+            f"at least {need:.3g} step attempts; max_steps is {tol.max_steps}")
 
 
 def _classify(
@@ -392,6 +416,7 @@ def _shoot_lanes(
         raise ValueError("mu must be positive")
     if not mus:
         return []
+    _check_work(params, max(mus), t_max, Tolerances())
     en = partial(hamiltonian_t, params)
     stop = (lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0))) if trap else None
     try:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import diracorbits.autonomous as aut
 from diracorbits.autonomous import (
     ROOT_LN_TOL,
     AutonomousParams,
@@ -324,13 +325,12 @@ def test_roots_in_ln_k_agree_with_scipy_chandrupatla(m):
     from scipy.optimize.elementwise import find_root
 
     params = AutonomousParams(m)
-    lo, hi = np.full(3, 1e-6 * k0(params)), np.full(3, 0.9 * k0(params))
-    eta_lo, eta_hi = half_period(params, lo[0]), half_period(params, hi[0])
+    lo, hi = np.full(3, math.log(1e-6 * k0(params))), np.full(3, math.log(0.9 * k0(params)))
+    eta_lo, eta_hi = half_period(params, math.exp(lo[0])), half_period(params, math.exp(hi[0]))
     target = eta_hi + (eta_lo - eta_hi) * np.array([0.1, 0.5, 0.9])
-    x = np.log(_roots_ln_k(params, lo, hi, target))
+    x = np.log(_roots_ln_k(params, lo, hi, eta_lo - target, eta_hi - target, target))
     ref = find_root(lambda x, tgt: _half_periods(params, np.exp(x)) - tgt,
-                    (np.log(lo), np.log(hi)), args=(target,),
-                    tolerances={"xatol": ROOT_LN_TOL}).x
+                    (lo, hi), args=(target,), tolerances={"xatol": ROOT_LN_TOL}).x
     assert np.all(np.abs(x - ref) <= 2 * (ROOT_LN_TOL + 4 * np.finfo(float).eps * np.abs(ref)))
     assert np.all(np.abs(_half_periods(params, np.exp(x)) - target) <= 1e-11 * target)
 
@@ -400,10 +400,12 @@ def test_solutions_count_roots_hit_target_relatively(m, T):
         assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
 
 
-@pytest.mark.parametrize("m,T", [(4, 8.0), (3, 12.0), (5, 6.0), (6, 10.0), (2, 15.0)])
+@pytest.mark.parametrize("m,T", [(4, 8.0), (3, 12.0), (5, 6.0), (6, 10.0), (2, 15.0),
+                                 (2, 20.0), (2, 22.0)])
 def test_solutions_count_where_the_scan_reaches_tiny_k(m, T):
     # the scan reaches K ~ 1e-14 K0 and below, where an absolute tolerance
-    # on the turning value s0 ~ K made the count raise or come out short
+    # on the turning value s0 ~ K made the count raise or come out short;
+    # at (2, 20) and (2, 22) a floor far below the k = 1 root raised
     params = AutonomousParams(m)
     count, roots, diag = solutions_count(params, T)
     assert count == math.ceil(T * math.sqrt(m - 1) / math.pi)
@@ -411,6 +413,59 @@ def test_solutions_count_where_the_scan_reaches_tiny_k(m, T):
     assert sorted(k for k, _ in roots) == list(range(1, count))
     for k, K in roots:
         assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
+
+
+def test_solutions_count_past_the_quadrature_reach_raises():
+    # the k = 1 root of (3, 30) lies near 1e-25 K0, where the Chebyshev
+    # rule cannot resolve the saddle passage: a typed error, not a count
+    with pytest.raises(NonConvergence):
+        solutions_count(M3, 30.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.floats(0.1, 20.0))
+def test_solutions_count_matches_the_monotone_count(m, bound):
+    # eta falls monotonically from +inf to pi/sqrt(m-1) (Chicone 1987), so
+    # eta = T/k has one root for each k < T sqrt(m-1)/pi, at a K that grows with k
+    T = bound / (m - 1)
+    c = T * math.sqrt(m - 1) / math.pi
+    assume(abs(c - round(c)) >= 0.05)
+    params = AutonomousParams(m)
+    count, roots, diag = solutions_count(params, T)
+    assert count == math.ceil(c)
+    assert [k for k, _ in roots] == list(range(1, count))
+    Ks = np.array([K for _, K in roots])
+    assert np.all(np.diff(Ks) > 0)
+    if roots:
+        targets = T / np.arange(1, count)
+        assert np.all(np.abs(_half_periods(params, Ks) - targets) <= 1e-11 * targets)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_half_period_sits_above_its_small_k_asymptote(m):
+    # eta(K) - ln(2 m^(m-1)/K)/(m-1) is positive and falls toward 0 as
+    # K -> 0; solutions_count puts its scan floor on this asymptote
+    params = AutonomousParams(m)
+    Ks = k0(params) * np.logspace(-1, -8, 15)
+    gap = _half_periods(params, Ks) - np.log(2 * m ** (m - 1) / Ks) / (m - 1)
+    assert np.all(gap > 0)
+    assert np.all(np.diff(gap) < 0)
+
+
+@pytest.mark.parametrize("m,T", [(4, 8.0), (3, 12.0), (6, 10.0), (2, 15.0), (3, 5.0)])
+def test_solutions_count_scans_no_deeper_than_needed(m, T, monkeypatch):
+    # the scan floor sits where eta is a little above T, not decades below
+    # the k = 1 root, where each lane needs the most quadrature nodes
+    params = AutonomousParams(m)
+    seen = []
+
+    def recording(params, K, *args, **kwargs):
+        seen.append(np.array(K))
+        return _half_periods(params, K, *args, **kwargs)
+
+    monkeypatch.setattr(aut, "_half_periods", recording)
+    solutions_count(params, T)
+    assert half_period(params, float(min(K.min() for K in seen))) <= T + 2
 
 
 def _homoclinic_loop(params, t):

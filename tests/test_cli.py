@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -85,6 +86,8 @@ def test_bad_value_exit_1():
     ["autonomous", "period", "--m", "2", "--K", "1e-30"],
     # K0 = ((m-1)/2)^(m-1)/m overflows a float: OverflowError
     ["autonomous", "period", "--m", "1000"],
+    # the k = 1 root lies past the quadrature's reach: NonConvergence
+    ["autonomous", "bifurcation", "--m", "3", "--T", "50"],
 ])
 def test_library_errors_exit_1_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
@@ -93,6 +96,19 @@ def test_library_errors_exit_1_without_traceback(argv):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_mu_too_fast_for_the_step_budget_exits_1_at_once():
+    # the orbit turns ~2e19 times by t = 1: StepLimitExceeded before any step
+    env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "diracorbits.cli", "dissipative", "shoot",
+                           "--m", "3", "--mu", "1e20"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("error: mu = 1e+20 turns about")
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +561,9 @@ FUZZ_VALUES = {
     "--end": ["zero", "infinity", "middle"],
     "--grid": ["0.2,0.6", "nan", "1e300", "", "-0.5,0.3"],
     "--h": ["1e-3,5e-4", "0", "-1e-3", "1e300", "1e-300"],
+    # finite, but the orbit turns too fast for the step budget
+    "--mu": FUZZ_FLOATS + ["1e20"], "--mu-lo": FUZZ_FLOATS + ["1e20"],
+    "--mu-hi": FUZZ_FLOATS + ["1e20"],
 }
 
 

@@ -6,6 +6,7 @@ rescaled limit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from diracorbits.dissipative import (
     time_field,
     vector_field_rescaled,
 )
-from diracorbits.numerics import Tolerances, Trajectory, find_root, integrate
+from diracorbits.numerics import StepLimitExceeded, Tolerances, Trajectory, find_root, integrate
 
 P3 = DissipativeParams(3)
 
@@ -349,7 +350,6 @@ def test_boundary_bisect_ends_shoot_on_each_side(m, k, mu_lo, mu_hi):
 
 def test_boundary_bisect_falls_back_to_single_shoots(monkeypatch):
     import diracorbits.dissipative as dis
-    from diracorbits.numerics import StepLimitExceeded
 
     def stacked_fails(field, y0, *args, **kwargs):
         if np.ndim(y0) == 2:
@@ -547,7 +547,6 @@ def test_sweep_one_lane_equals_shoot():
 
 def test_sweep_falls_back_to_single_shoots(monkeypatch):
     import diracorbits.dissipative as dis
-    from diracorbits.numerics import StepLimitExceeded
 
     def stacked_fails(field, y0, *args, **kwargs):
         if np.ndim(y0) == 2:
@@ -561,3 +560,32 @@ def test_sweep_falls_back_to_single_shoots(monkeypatch):
         ref = shoot(P3, mu, t_max=30.0)
         assert out.to_json_dict() == ref.to_json_dict()
         assert out.trajectory is None
+
+
+@pytest.mark.parametrize("m,mu,t_max,tol", [
+    (3, 10.0, 60.0, Tolerances()),
+    (3, 1e3, 1.0, Tolerances()),
+    (4, 1e4, 60.0, Tolerances()),
+    (6, 1e4, 0.1, Tolerances()),
+    (3, 1e3, 1.0, Tolerances(1e-3, 1e-3)),
+])
+def test_work_bound_stays_below_the_attempts_spent(m, mu, t_max, tol):
+    # a budget of exactly the attempts the solve took must pass the bound
+    import diracorbits.dissipative as dis
+
+    params = DissipativeParams(m)
+    traj = shoot(params, mu, t_max, tol=tol).trajectory
+    spent = traj.steps_accepted + traj.steps_rejected
+    dis._check_work(params, mu, t_max, replace(tol, max_steps=spent))
+
+
+def test_mu_too_fast_for_the_step_budget_raises_at_once():
+    # (2 mu^2)^(1/2) = 1.4e20 radians per unit time at m = 3
+    with pytest.raises(StepLimitExceeded, match="turns about 2.25e"):
+        shoot(P3, 1e20)
+    with pytest.raises(StepLimitExceeded):
+        classify_sweep(P3, [0.5, 1e20])
+    with pytest.raises(StepLimitExceeded):
+        boundary_bisect(P3, 0, 0.5, 1e20)
+    # a horizon too short for many turns is not refused
+    assert shoot(P3, 1e20, t_max=1e-300).t_end == 1e-300
