@@ -16,8 +16,8 @@ import numpy as np
 
 from .numerics import (
     NonConvergence,
-    Tolerances,
     Trajectory,
+    bracketed_roots,
     quad_chebyshev_endpoint,
 )
 
@@ -43,8 +43,11 @@ __all__ = [
 DEGENERATE_CUTOFF = 1e-10
 # Newton steps allowed per turning value: ~20 near the fold, a few elsewhere
 NEWTON_MAX = 100
+# the half-period quadrature doubles its nodes until two estimates agree to this
+QUAD_TOL = 1e-12
 # solutions_count samples eta at this many evenly spaced x = ln K, no lower
-# than SCAN_X_MIN, and refines its roots in x to this bracket width
+# than SCAN_X_MIN, and refines its roots in x to this bracket width in at
+# most ROOT_MAX_STEPS steps
 SCAN_POINTS = 128
 SCAN_X_MIN = math.log(1e-280)
 ROOT_LN_TOL = 1e-13
@@ -234,7 +237,7 @@ def _integrand(params: AutonomousParams, K, t0, t1, tau: np.ndarray) -> np.ndarr
     return (m / 2) * t ** (m - 2) / np.sqrt(_pk_eval(params, K, t0, t1, t))
 
 
-def _half_periods(params: AutonomousParams, K: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _half_periods(params: AutonomousParams, K: np.ndarray) -> np.ndarray:
     """eta for an array of K in range: the kernel behind half_period and solutions_count.
 
     One Chebyshev quadrature over the (K x nodes) array, at most
@@ -246,11 +249,11 @@ def _half_periods(params: AutonomousParams, K: np.ndarray, tol: float = 1e-12) -
     t0, t1, Kc = (s0 ** e)[:, None], (s1 ** e)[:, None], K[:, None]
     return quad_chebyshev_endpoint(
         lambda tau, rows: _integrand(params, Kc[rows], t0[rows], t1[rows], tau),
-        tol=tol, lanes=K.size,
+        tol=QUAD_TOL, lanes=K.size,
     )
 
 
-def half_period(params: AutonomousParams, K: float, tol: float = 1e-12) -> float:
+def half_period(params: AutonomousParams, K: float) -> float:
     """Travel time of z = u^2 + v^2 from s0 to s1 along the K-orbit.
 
     The raw integral int_{s0}^{s1} dz / (2 lam sqrt(F_K)) is recast via
@@ -264,7 +267,7 @@ def half_period(params: AutonomousParams, K: float, tol: float = 1e-12) -> float
     both limits are multiplied by lam: (sqrt(m-1)/2) pi and slope 1/2.
     """
     _check_k(params, K)
-    return float(_half_periods(params, np.array([K], dtype=float), tol)[0])
+    return float(_half_periods(params, np.array([K], dtype=float))[0])
 
 
 def _orbit_table(params: AutonomousParams, K: float):
@@ -391,55 +394,6 @@ def orbit_reconstruct(
     return spec, traj
 
 
-def _roots_ln_k(params: AutonomousParams, x1, x2, f1, f2, target) -> np.ndarray:
-    """Roots K of eta(K) = target in the sign-changing brackets [x1, x2] of x = ln K.
-
-    f1, f2 are eta(exp(x)) - target at the bracket ends, as the scan found
-    them. Chandrupatla's method (1997, Adv. Eng. Softw. 28) in x, where
-    eta is close to linear as K -> 0: inverse quadratic interpolation
-    through the bracket ends and the last discarded point when it is safe,
-    bisection otherwise, with the step kept a tolerance away from the
-    ends. Every step is one batched kernel call for all live brackets; a
-    bracket ends once it is narrower than ROOT_LN_TOL plus 4 ulp of x, or
-    once eta hits the target exactly, and gives its end nearer the root.
-    """
-    n = x1.size
-    live = np.arange(n)
-    x3 = f3 = None
-    t = np.full(n, 0.5)
-    root = np.empty(n)
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    for step in range(ROOT_MAX_STEPS + 1):
-        near = np.abs(f1) < np.abs(f2)
-        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
-        dx = np.abs(x2 - x1)
-        tol = ROOT_LN_TOL + 4 * eps * np.abs(xm)
-        done = (np.abs(fm) <= tiny) | (dx < tol)
-        root[live[done]] = xm[done]
-        if done.all():
-            return np.exp(root)
-        if step == ROOT_MAX_STEPS:
-            break
-        keep = ~done
-        live, x1, f1, x2, f2, dx, tol, t = (a[keep] for a in (live, x1, f1, x2, f2, dx, tol, t))
-        if x3 is not None:
-            x3, f3 = x3[keep], f3[keep]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi = (x1 - x2) / (x3 - x2)
-                phi = (f1 - f2) / (f3 - f2)
-                quad = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
-        x = x1 + t * (x2 - x1)
-        fx = _half_periods(params, np.exp(x)) - target[live]
-        same = np.sign(fx) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, fx
-    raise NonConvergence(f"root refinement in ln K did not settle in {ROOT_MAX_STEPS} steps")
-
-
 def solutions_count(
     params: AutonomousParams, T: float
 ) -> tuple[int, list[tuple[int, float]], dict]:
@@ -450,10 +404,12 @@ def solutions_count(
     batched kernel call on SCAN_POINTS values of x = ln K, evenly spaced
     from a floor up to K0. At the floor the asymptote
     ln(2 m^(m-1)/K)/(m-1), which eta exceeds, is T + 1; should eta there
-    still fall short of T, the floor is lowered and the scan repeated.
-    Every sign change is root-solved in ln K from the scan's own values,
-    all roots together, so multiple roots per k (were eta non-monotone)
-    are all reported, flagged in the diagnostics.
+    still fall short of T (the floor clamped at SCAN_X_MIN), the count
+    would miss roots, so it raises NonConvergence instead. Every sign
+    change is root-solved in x = ln K, where eta is close to linear as
+    K -> 0, by numerics.bracketed_roots from the scan's own values, all
+    roots together, so multiple roots per k (were eta non-monotone) are
+    all reported, flagged in the diagnostics.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -465,13 +421,12 @@ def solutions_count(
     # Deeper lanes only cost more quadrature nodes.
     x_lo = min(math.log(1e-2 * kmax), math.log(2.0) + (m - 1) * (math.log(m) - T - 1.0))
     x_lo = max(x_lo, SCAN_X_MIN)
-    while True:
-        x = np.linspace(x_lo, x_hi, SCAN_POINTS)
-        eta = _half_periods(params, np.exp(x))
-        eta_min = float(eta.min())
-        if float(eta.max()) >= T or T <= eta_min or x_lo == SCAN_X_MIN:
-            break
-        x_lo = max(2 * x_lo - math.log(kmax), SCAN_X_MIN)
+    x = np.linspace(x_lo, x_hi, SCAN_POINTS)
+    eta = _half_periods(params, np.exp(x))
+    eta_min = float(eta.min())
+    if float(eta.max()) < T:
+        raise NonConvergence(f"eta = {eta[0]:.6g} at the scan floor K = {math.exp(x_lo):.6g} "
+                             f"falls short of T = {T:.6g}: roots of eta = T/k lie below it")
 
     ks: list[int] = []
     idx: list[int] = []  # eta crosses T/k in (x[i], x[i + 1]) or equals it at x[i]
@@ -496,8 +451,9 @@ def solutions_count(
     K_root = np.exp(x[idx_a])
     if cross.any():
         i, target = idx_a[cross], T / np.array(ks)[cross]
-        K_root[cross] = _roots_ln_k(params, x[i], x[i + 1],
-                                    eta[i] - target, eta[i + 1] - target, target)
+        K_root[cross] = np.exp(bracketed_roots(
+            lambda xs, live: _half_periods(params, np.exp(xs)) - target[live],
+            x[i], x[i + 1], eta[i] - target, eta[i + 1] - target, ROOT_LN_TOL, ROOT_MAX_STEPS))
     roots = [(kk, float(K)) for kk, K in zip(ks, K_root)]
 
     count = 1 + len({kk for kk, _ in roots})

@@ -89,9 +89,6 @@ class GaussianMatrix:
     def equals(self, other: "GaussianMatrix") -> bool:
         return bool(np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im))
 
-    def is_zero(self) -> bool:
-        return bool(not self.re.any() and not self.im.any())
-
     def to_complex(self) -> np.ndarray:
         return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
 

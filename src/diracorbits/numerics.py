@@ -1,11 +1,11 @@
 """Shared numeric kernels.
 
 DOP853 integration of planar fields, one state or many lanes at once (a
-numpy port that steps exactly as scipy's DOP853, so no command loads
-scipy), bracketed root finding (scipy's Brent, imported when called),
-closed-form least-squares slopes, and Gauss-Chebyshev quadrature for
-integrands carrying an inverse-square-root singularity at both endpoints
-of [0, 1], one integral or many lanes at once.
+numpy port that steps exactly as scipy's DOP853), Chandrupatla's
+bracketed root finding over many brackets at once, closed-form
+least-squares slopes, and Gauss-Chebyshev quadrature for integrands
+carrying an inverse-square-root singularity at both endpoints of [0, 1],
+one integral or many lanes at once. numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "NoSignChange",
     "NonConvergence",
     "integrate",
+    "bracketed_roots",
     "find_root",
     "quad_chebyshev_endpoint",
     "ls_slope",
@@ -313,6 +314,56 @@ def _energies(energy: EnergyFn | None, t: np.ndarray, states: np.ndarray) -> np.
     return np.asarray(energy(t, states[:, 0], states[:, 1]), dtype=float)
 
 
+def bracketed_roots(f, x1, x2, f1, f2, xtol: float, max_steps: int) -> np.ndarray:
+    """Roots of f in the sign-changing brackets [x1, x2], all brackets at once.
+
+    f1, f2 are f at the bracket ends, and ``f(x, live)`` returns f at the
+    points x of the brackets whose indices are ``live``. Chandrupatla's
+    method (1997, Adv. Eng. Softw. 28): inverse quadratic interpolation
+    through the bracket ends and the last discarded point when it is safe,
+    bisection otherwise, with the step kept a tolerance away from the ends.
+    Every step is one call of f for all live brackets; a bracket ends once
+    it is narrower than xtol plus 4 ulp of x, or once f is exactly 0 there,
+    and gives its end with the smaller |f|. Raises NonConvergence if a
+    bracket is still live after max_steps steps.
+    """
+    n = x1.size
+    live = np.arange(n)
+    x3 = f3 = None
+    t = np.full(n, 0.5)
+    root = np.empty(n)
+    tiny = np.finfo(float).tiny
+    for step in range(max_steps + 1):
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        dx = np.abs(x2 - x1)
+        tol = xtol + 4 * EPS * np.abs(xm)
+        done = (np.abs(fm) <= tiny) | (dx < tol)
+        root[live[done]] = xm[done]
+        if done.all():
+            return root
+        if step == max_steps:
+            break
+        keep = ~done
+        live, x1, f1, x2, f2, dx, tol, t = (a[keep] for a in (live, x1, f1, x2, f2, dx, tol, t))
+        if x3 is not None:
+            x3, f3 = x3[keep], f3[keep]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                quad = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        fx = f(x, live)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    raise NonConvergence(f"bracketed roots did not settle in {max_steps} steps")
+
+
 def find_root(
     f: Callable[[float], float],
     a: float,
@@ -322,11 +373,11 @@ def find_root(
 ) -> float:
     """Locate a zero of ``f`` in the sign-changing bracket [a, b].
 
-    Brent's method via scipy; converges to bracket width <= tol. The result
-    always lies within [a, b].
+    The one-bracket case of ``bracketed_roots``: converges to bracket width
+    below tol + 4 ulp of the root. The result always lies within [a, b]
+    (clipped: a step x1 + t (x2 - x1) from an end far larger than the
+    other can round past the other end).
     """
-    from scipy.optimize import brentq
-
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -334,14 +385,9 @@ def find_root(
         return b
     if fa * fb > 0:
         raise NoSignChange(f"f({a}) = {fa} and f({b}) = {fb} have the same sign")
-    try:
-        x, res = brentq(f, a, b, xtol=tol, rtol=4 * np.finfo(float).eps,
-                        maxiter=max_iter, full_output=True)
-    except RuntimeError as exc:
-        raise NonConvergence(str(exc)) from exc
-    if not res.converged:
-        raise NonConvergence(f"root solve did not converge in {max_iter} iterations")
-    return float(x)
+    x = bracketed_roots(lambda x, live: np.array([f(float(x[0]))], dtype=float),
+                        *np.array([[a], [b], [fa], [fb]], dtype=float), tol, max_iter)
+    return float(np.clip(x[0], min(a, b), max(a, b)))
 
 
 def quad_chebyshev_endpoint(

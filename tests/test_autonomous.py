@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import diracorbits.autonomous as aut
 from diracorbits.autonomous import (
     ROOT_LN_TOL,
+    ROOT_MAX_STEPS,
     AutonomousParams,
     _half_periods,
-    _roots_ln_k,
     _turning_values,
     KOutOfRange,
     equilibria,
@@ -26,7 +26,7 @@ from diracorbits.autonomous import (
     solutions_count,
     time_field,
 )
-from diracorbits.numerics import NonConvergence, Tolerances, integrate
+from diracorbits.numerics import NonConvergence, Tolerances, bracketed_roots, integrate
 from oracles import bisect, fit_slope, tanh_sinh_quad, turning_values_mp
 
 M3 = AutonomousParams(3)
@@ -328,7 +328,8 @@ def test_roots_in_ln_k_agree_with_scipy_chandrupatla(m):
     lo, hi = np.full(3, math.log(1e-6 * k0(params))), np.full(3, math.log(0.9 * k0(params)))
     eta_lo, eta_hi = half_period(params, math.exp(lo[0])), half_period(params, math.exp(hi[0]))
     target = eta_hi + (eta_lo - eta_hi) * np.array([0.1, 0.5, 0.9])
-    x = np.log(_roots_ln_k(params, lo, hi, eta_lo - target, eta_hi - target, target))
+    x = bracketed_roots(lambda x, live: _half_periods(params, np.exp(x)) - target[live],
+                        lo, hi, eta_lo - target, eta_hi - target, ROOT_LN_TOL, ROOT_MAX_STEPS)
     ref = find_root(lambda x, tgt: _half_periods(params, np.exp(x)) - tgt,
                     (lo, hi), args=(target,), tolerances={"xatol": ROOT_LN_TOL}).x
     assert np.all(np.abs(x - ref) <= 2 * (ROOT_LN_TOL + 4 * np.finfo(float).eps * np.abs(ref)))
@@ -420,6 +421,15 @@ def test_solutions_count_past_the_quadrature_reach_raises():
     # rule cannot resolve the saddle passage: a typed error, not a count
     with pytest.raises(NonConvergence):
         solutions_count(M3, 30.0)
+
+
+@pytest.mark.parametrize("m,T", [(3, 10.0), (2, 12.0), (4, 6.0)])
+def test_solutions_count_with_a_floor_too_high_raises(m, T, monkeypatch):
+    # a clamped floor where eta < T hides the k = 1 root; with the clamp at
+    # K = 1e-3 these counts came out 3 instead of 5, 4 and 4
+    monkeypatch.setattr(aut, "SCAN_X_MIN", math.log(1e-3))
+    with pytest.raises(NonConvergence, match="scan floor K = 0.001"):
+        solutions_count(AutonomousParams(m), T)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

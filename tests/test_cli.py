@@ -467,10 +467,20 @@ COLD_PATH = [
 
 
 def test_cold_path_never_imports_scipy(tmp_path):
+    # the child cannot import scipy at all, as after installing the
+    # package's runtime dependencies alone
     code = ("import json, sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "from diracorbits.cli import main\n"
+            "from diracorbits.numerics import find_root\n"
             "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
             "    assert main(argv + ['--out', f'out{i}']) == 0, argv\n"
+            "x = find_root(lambda x: x**3 - 2, 0, 2)\n"
+            "assert abs(x - 2 ** (1 / 3)) <= 1e-12, x\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(COLD_PATH)], cwd=tmp_path,

@@ -332,6 +332,17 @@ def mu_star(m):
     return ((m - 1) / 2) ** ((m - 1) / 2) / math.sqrt(2)
 
 
+@pytest.mark.parametrize("m, t_max", [(4, 8.5), (5, 6.5), (6, 5.5)])
+@pytest.mark.parametrize("scale", [1 - 1e-15, 1.0, 1 + 1e-15])
+def test_shoot_from_the_k0_boundary_is_an_i_candidate(m, t_max, scale):
+    # mu*(m) starts the explicit orbit that decays like e^{-(m-2) t}; each
+    # horizon ends before rounding pushes the solve off it (H <= 0 near
+    # t = 8.97, 6.82 and 5.67, which makes a longer shoot class A)
+    out = shoot(DissipativeParams(m), mu_star(m) * scale, t_max=t_max)
+    assert out.cls == "I-candidate" and out.k == 0
+    assert abs(out.envelope + (m - 2)) <= Thresholds().fit_tol * (m - 2)
+
+
 @pytest.mark.parametrize("m, k, mu_lo, mu_hi", [
     # k = 0 brackets are not centred on mu*, so no round samples mu*
     # itself, whose side is decided by rounding alone

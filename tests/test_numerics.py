@@ -253,6 +253,11 @@ def test_find_root_no_sign_change():
         find_root(lambda x: x * x + 1, -1.0, 1.0)
 
 
+def test_find_root_out_of_steps_raises():
+    with pytest.raises(NonConvergence):
+        find_root(lambda x: x ** 3 - 2, 0.0, 2.0, max_iter=2)
+
+
 @given(
     a=st.floats(-10, 9.0),
     width=st.floats(0.5, 10),
