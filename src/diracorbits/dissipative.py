@@ -37,6 +37,7 @@ __all__ = [
     "TailTooShort",
     "hamiltonian_t",
     "time_field",
+    "polar_field",
     "shoot",
     "sign_changes",
     "boundary_bisect",
@@ -130,6 +131,26 @@ def time_field(params: DissipativeParams):
     return field
 
 
+def polar_field(params: DissipativeParams):
+    """The field in rho = ln(u^2+v^2) and phi = atan2(v, u), as ``field(t, rho, phi)``.
+
+    rho' = -2 kappa cos 2phi and phi' = kappa sin 2phi - N, with the
+    coupling N = cosh(t)^(-1/(m-1)) e^(rho/(m-1)) of ``time_field``. It is
+    regular wherever u^2 + v^2 > 0, which always holds once H <= 0; there
+    rho and phi vary slowly while u and v grow like sqrt(cosh t).
+    """
+    kappa = params.kappa
+    e = 1 / (params.m - 1)
+    c = -1 / (params.m - 1)
+
+    def field(t: float, rho, phi):
+        nl = math.cosh(t) ** c * np.exp(e * rho)
+        two_phi = 2 * phi
+        return -2 * kappa * np.cos(two_phi), kappa * np.sin(two_phi) - nl
+
+    return field
+
+
 def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9) -> int:
     """Count strict sign alternations of one component with hysteresis.
 
@@ -149,11 +170,12 @@ def _tail_decay_exponent(traj: Trajectory, window: float = 5.0) -> float | None:
     None with fewer than 10 positive samples there, or when their times do
     not spread (a horizon of a few float spacings).
     """
-    z = traj.u**2 + traj.v**2
-    mask = (traj.t >= traj.t[-1] - window) & (z > 0)
+    r = np.hypot(traj.u, traj.v)
+    mask = (traj.t >= traj.t[-1] - window) & (r > 0)
     if mask.sum() < 10:
         return None
-    return ls_slope(traj.t[mask], np.log(z[mask]))
+    # ln z as 2 ln r stays finite where z = r^2 overflows, as near t = 710
+    return ls_slope(traj.t[mask], 2 * np.log(r[mask]))
 
 
 def shoot(
@@ -172,9 +194,14 @@ def shoot(
     Otherwise undetermined at the horizon. A NonFiniteState blow-up after
     H <= 0 still classifies as A from the partial trajectory.
 
+    The orbit is followed in (u, v) until the first grid sample with
+    H <= 0, and from there to ``t_max`` in ``polar_field``, which needs
+    fewer steps on the growing trapped tail (``_solve``). The trajectory
+    holds both phases on the one grid, in (u, v), with their steps summed.
+
     No orbit is followed past the float range: the coupling's cosh(t)
     overflows at t = 710.48, where a longer t_max ends with H_tail = inf.
-    A class-A orbit grows like u^2 + v^2 <= C cosh t, so the state itself
+    A class-A orbit grows like u^2 + v^2 <= C cosh t, so u^2 + v^2 itself
     overflows a few units later (t = 717.83 at m = 3, mu = 0.6) however
     the coupling is written.
     """
@@ -185,14 +212,81 @@ def shoot(
     _check_work(params, mu, t_max, tol)
 
     try:
-        traj = integrate(time_field(params), (mu, mu), (0.0, t_max), tol=tol,
-                         n_samples=n_samples, energy=partial(hamiltonian_t, params))
+        traj = _solve(params, np.array([mu, mu]), t_max, tol, n_samples)
     except IntegrationError as exc:
         traj = exc.trajectory
         if traj is None or len(traj) < 2:
             raise
 
     return _classify(params, mu, traj, thresholds)
+
+
+def _solve(
+    params: DissipativeParams,
+    y0: np.ndarray,
+    t_max: float,
+    tol: Tolerances,
+    n_samples: int,
+    trap: bool = False,
+) -> Trajectory:
+    """Solve from y0 (one lane, or a (2, lanes) stack) at t = 0 to ``t_max``.
+
+    Phase 1 integrates ``time_field`` and ends at the first grid sample
+    where H <= 0 on every lane. Each lane is then trapped: u and v keep
+    their signs and u^2 + v^2 > 0 (docs/decisions.md, "The trap stop"). With
+    ``trap`` the solve returns there. Otherwise phase 2 continues from that
+    sample in ``polar_field`` on the rest of the grid, and its samples are
+    mapped back to (u, v), where H is computed again. A lane that never
+    traps keeps phase 1 to ``t_max``. An IntegrationError in phase 2
+    carries both phases joined.
+    """
+    en = partial(hamiltonian_t, params)
+    head = integrate(time_field(params), y0, (0.0, t_max), tol=tol, n_samples=n_samples,
+                     energy=en, stop=lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0)))
+    if trap or head.terminal_reason != "stopped":
+        return head
+    # only the samples reached are kept, so phase 1's full-grid array goes
+    head = replace(head, states=head.states.copy())
+    u, v = head.states[-1]
+    start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
+    field, span = polar_field(params), (float(head.t[-1]), t_max)
+    try:
+        # the polar grid is linspace(t_stop, t_max), the tail of
+        # linspace(0, t_max) but for rounding, so the samples keep the one
+        # grid; the polar trajectory is passed unbound, for _join to free
+        return _join(params, head, integrate(field, start, span, tol=tol,
+                                             n_samples=n_samples - len(head) + 1),
+                     np.linspace(0.0, t_max, n_samples))
+    except IntegrationError as exc:
+        tail = exc.trajectory
+        if tail is not None:
+            exc.trajectory = _join(params, head, tail, np.concatenate([head.t, tail.t[1:]]))
+        raise
+
+
+def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory,
+          t: np.ndarray) -> Trajectory:
+    """``head`` followed by ``polar`` after its first sample, in (u, v), at times ``t``.
+
+    The mapped samples are written straight into the one output array.
+    ``polar`` is released before H is computed, so a caller that passes it
+    unbound frees its arrays before H's temporaries are made.
+    """
+    n = len(head)
+    states = np.empty((len(t),) + head.states.shape[1:])
+    states[:n] = head.states
+    accepted = head.steps_accepted + polar.steps_accepted
+    rejected = head.steps_rejected + polar.steps_rejected
+    reason = polar.terminal_reason
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.exp(0.5 * polar.states[1:, 0])
+        phi = polar.states[1:, 1]
+        np.multiply(r, np.cos(phi, out=states[n:, 0]), out=states[n:, 0])
+        np.multiply(r, np.sin(phi, out=states[n:, 1]), out=states[n:, 1])
+        del polar, r, phi
+        energy = np.concatenate([head.energy, hamiltonian_t(
+            params, t[n:].reshape((-1,) + (1,) * (states.ndim - 2)), states[n:, 0], states[n:, 1])])
+    return Trajectory(t, states, energy, accepted, rejected, reason)
 
 
 def _check_work(params: DissipativeParams, mu: float, t_max: float, tol: Tolerances) -> None:
@@ -225,7 +319,8 @@ def _classify(
     nonpos = np.nonzero(traj.energy <= 0.0)[0]
     first_nonpositive = float(traj.t[nonpos[0]]) if len(nonpos) else None
 
-    z_final = float(traj.u[-1] ** 2 + traj.v[-1] ** 2)
+    with np.errstate(over="ignore"):
+        z_final = float(traj.u[-1] ** 2 + traj.v[-1] ** 2)
     slope = _tail_decay_exponent(traj)
 
     if first_nonpositive is not None:
@@ -385,7 +480,10 @@ def classify_sweep(
 
     All lanes are integrated together as one stacked system, so the step
     sizes are shared and each lane's floats differ slightly from a lone
-    ``shoot``. If the stacked solve fails, each lane is shot on its own.
+    ``shoot``. Once every lane has H <= 0 the stack goes on to ``t_max`` in
+    ``polar_field``, as ``shoot`` does; a grid with a lane that never traps
+    runs in (u, v) throughout. If the stacked solve fails, each lane is shot
+    on its own.
     ``jobs`` is deprecated and ignored: the stacked solve is already
     faster than a process pool, and its output does not depend on it.
     """
@@ -407,21 +505,20 @@ def _shoot_lanes(
 ) -> list[ShootingOutcome]:
     """Classify each mu as ``shoot`` does, all lanes in one stacked solve.
 
-    With ``trap`` the solve ends at the first grid sample where H <= 0 on
-    every lane: H never rises again and keeps kappa*u*v > 0, so v changes
-    sign no more and each lane's k, class and first nonpositive H are
-    final there. If the stacked solve fails, each lane is shot on its own.
+    The solve is ``_solve``'s: in (u, v) up to the first grid sample where
+    H <= 0 on every lane, then in ``polar_field`` to ``t_max``. With
+    ``trap`` it ends at that sample: H never rises again and keeps
+    kappa*u*v > 0, so v changes sign no more and each lane's k, class and
+    first nonpositive H are final there. If the stacked solve fails, in
+    either coordinate system, each lane is shot on its own.
     """
     if any(not mu > 0 for mu in mus):
         raise ValueError("mu must be positive")
     if not mus:
         return []
     _check_work(params, max(mus), t_max, Tolerances())
-    en = partial(hamiltonian_t, params)
-    stop = (lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0))) if trap else None
     try:
-        traj = integrate(time_field(params), np.array([mus, mus]), (0.0, t_max),
-                         n_samples=4001, energy=en, stop=stop)
+        traj = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001, trap)
     except IntegrationError:
         return [replace(shoot(params, mu, t_max, thresholds), trajectory=None) for mu in mus]
     outcomes = []

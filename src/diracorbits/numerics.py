@@ -321,7 +321,8 @@ def bracketed_roots(f, x1, x2, f1, f2, xtol: float, max_steps: int) -> np.ndarra
     points x of the brackets whose indices are ``live``. Chandrupatla's
     method (1997, Adv. Eng. Softw. 28): inverse quadratic interpolation
     through the bracket ends and the last discarded point when it is safe,
-    bisection otherwise, with the step kept a tolerance away from the ends.
+    bisection otherwise, with the step kept a tolerance away from the ends
+    and measured from the nearer one.
     Every step is one call of f for all live brackets; a bracket ends once
     it is narrower than xtol plus 4 ulp of x, or once f is exactly 0 there,
     and gives its end with the smaller |f|. Raises NonConvergence if a
@@ -330,32 +331,39 @@ def bracketed_roots(f, x1, x2, f1, f2, xtol: float, max_steps: int) -> np.ndarra
     n = x1.size
     live = np.arange(n)
     x3 = f3 = None
-    t = np.full(n, 0.5)
     root = np.empty(n)
     tiny = np.finfo(float).tiny
     for step in range(max_steps + 1):
         near = np.abs(f1) < np.abs(f2)
         xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
-        dx = np.abs(x2 - x1)
         tol = xtol + 4 * EPS * np.abs(xm)
-        done = (np.abs(fm) <= tiny) | (dx < tol)
+        with np.errstate(over="ignore"):
+            # a width past the float range is inf, which is not done
+            done = (np.abs(fm) <= tiny) | (np.abs(x2 - x1) < tol)
         root[live[done]] = xm[done]
         if done.all():
             return root
         if step == max_steps:
             break
         keep = ~done
-        live, x1, f1, x2, f2, dx, tol, t = (a[keep] for a in (live, x1, f1, x2, f2, dx, tol, t))
+        live, x1, f1, x2, f2, tol = (a[keep] for a in (live, x1, f1, x2, f2, tol))
+        x = 0.5 * x1 + 0.5 * x2
         if x3 is not None:
             x3, f3 = x3[keep], f3[keep]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 xi = (x1 - x2) / (x3 - x2)
                 phi = (f1 - f2) / (f3 - f2)
                 quad = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            t = np.clip(t, 0.5 * tol / dx, 1 - 0.5 * tol / dx)
-        x = x1 + t * (x2 - x1)
+                # the interpolant's Lagrange weights, applied as an offset
+                # from the nearer end: an offset from the far one would
+                # round the near end's digits away when |x2| << |x1|
+                l1 = f2 / (f1 - f2) * f3 / (f1 - f3)
+                l2 = f1 / (f2 - f1) * f3 / (f2 - f3)
+                l3 = f1 / (f3 - f1) * f2 / (f3 - f2)
+                d1 = l2 * (x2 - x1) + l3 * (x3 - x1)
+                d2 = l1 * (x1 - x2) + l3 * (x3 - x2)
+                x = np.where(quad, np.where(np.abs(d1) <= np.abs(d2), x1 + d1, x2 + d2), x)
+        x = np.clip(x, np.minimum(x1, x2) + 0.5 * tol, np.maximum(x1, x2) - 0.5 * tol)
         fx = f(x, live)
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -374,9 +382,7 @@ def find_root(
     """Locate a zero of ``f`` in the sign-changing bracket [a, b].
 
     The one-bracket case of ``bracketed_roots``: converges to bracket width
-    below tol + 4 ulp of the root. The result always lies within [a, b]
-    (clipped: a step x1 + t (x2 - x1) from an end far larger than the
-    other can round past the other end).
+    below tol + 4 ulp of the root, which always lies within [a, b].
     """
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -387,7 +393,7 @@ def find_root(
         raise NoSignChange(f"f({a}) = {fa} and f({b}) = {fb} have the same sign")
     x = bracketed_roots(lambda x, live: np.array([f(float(x[0]))], dtype=float),
                         *np.array([[a], [b], [fa], [fb]], dtype=float), tol, max_iter)
-    return float(np.clip(x[0], min(a, b), max(a, b)))
+    return float(x[0])
 
 
 def quad_chebyshev_endpoint(

@@ -5,8 +5,11 @@ cross-checked against the monotone-energy argument and the closed-form
 rescaled limit.
 """
 
+import json
 import math
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from diracorbits.dissipative import (
     classify_sweep,
     envelope_check,
     hamiltonian_t,
+    polar_field,
     rescale_compare,
     rescaled_limit,
     shoot,
@@ -98,6 +102,23 @@ def test_field_forms_agree_bit_for_bit(m, t, u, v):
     nl = math.cosh(t) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
     ref = (nl * v - params.kappa * u, params.kappa * v - nl * u)
     assert time_field(params)(t, u, v) == ref
+
+
+@given(st.integers(3, 6), st.floats(0.0, 700.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+@settings(max_examples=60, deadline=None)
+def test_polar_field_is_the_chain_rule_of_time_field(m, t, u, v):
+    # rho = ln z and phi = atan2(v, u) give rho' = 2(u u' + v v')/z and
+    # phi' = (u v' - v u')/z; both sides are sums of terms of size at most
+    # 2 kappa + N, which scales the rounding
+    z = u * u + v * v
+    if z < 1e-6:
+        return
+    params = DissipativeParams(m)
+    du, dv = time_field(params)(t, u, v)
+    drho, dphi = polar_field(params)(t, math.log(z), math.atan2(v, u))
+    scale = 2 * params.kappa + math.cosh(t) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
+    assert abs(drho - 2 * (u * du + v * dv) / z) <= 1e-13 * scale
+    assert abs(dphi - (u * dv - v * du) / z) <= 1e-13 * scale
 
 
 @given(
@@ -387,6 +408,71 @@ def test_trap_stop_keeps_sweep_outcomes(m):
     for a, b in zip(trapped, full):
         assert (a.mu, a.k, a.cls, a.first_nonpositive_H) == (
             b.mu, b.k, b.cls, b.first_nonpositive_H)
+
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_dissipative.json").read_text())
+
+
+def _dop853_tails(m, mus, t_max, n_samples):
+    """H at t_max and the tail slope of ln z of each lane, by scipy's DOP853 at rtol 1e-13.
+
+    The field is written out as the module docstring states it, in (u, v)
+    over the whole horizon; the slope is numpy's polyfit over the grid
+    samples of the last 5 time units.
+    """
+    from scipy.integrate import solve_ivp
+
+    kappa, c, e = (m - 2) / 2, -1 / (m - 1), 1 / (m - 1)
+
+    def rhs(t, y):
+        u, v = y.reshape(2, -1)
+        nl = np.cosh(t) ** c * (u * u + v * v) ** e
+        return np.concatenate([nl * v - kappa * u, kappa * v - nl * u])
+
+    t = np.linspace(0.0, t_max, n_samples)
+    sol = solve_ivp(rhs, (0.0, t_max), np.concatenate([mus, mus]), method="DOP853",
+                    t_eval=t, rtol=1e-13, atol=1e-13)
+    u, v = sol.y.reshape(2, len(mus), -1)
+    z = u * u + v * v
+    H = -kappa * u[:, -1] * v[:, -1] + (m - 1) / (2 * m) * np.cosh(t_max) ** c * z[:, -1] ** (m * e)
+    tail = t >= t_max - 5.0
+    slopes = [np.polyfit(t[tail], np.log(lane[tail]), 1)[0] for lane in z]
+    return H, np.array(slopes)
+
+
+@pytest.mark.parametrize("sweep", GOLDEN["sweeps"], ids=lambda s: f"m{s['m']}")
+def test_trapped_tails_match_scipy_dop853(sweep):
+    # the trapped tails run in log-polar coordinates; H_tail and the
+    # envelope must still agree with a tight Cartesian solve
+    m, mus = sweep["m"], [lane["mu"] for lane in sweep["lanes"]]
+    outs = classify_sweep(DissipativeParams(m), mus, t_max=GOLDEN["t_max"])
+    H, slopes = _dop853_tails(m, np.array(mus), GOLDEN["t_max"], GOLDEN["n_samples"])
+    for out, h, slope in zip(outs, H, slopes):
+        assert out.cls == "A"
+        assert abs(out.H_tail - h) <= 1e-8 * abs(h), (out.mu, out.H_tail, h)
+        assert abs(out.envelope - slope) <= 1e-8 * abs(slope), (out.mu, out.envelope, slope)
+
+
+def test_trapped_tail_takes_fewer_steps():
+    # the whole horizon in (u, v) took 92 step attempts; after H <= 0 at
+    # t = 0.81 the log-polar tail needs fewer, so a fall back to (u, v) fails
+    traj = shoot(P3, 0.6).trajectory
+    assert traj.steps_accepted + traj.steps_rejected < 92
+
+
+def test_long_horizon_ends_at_the_coupling_overflow_without_warnings():
+    # cosh(t) overflows at t = 710.48: the orbit is class A with k = 0 and
+    # H_tail = inf there, and mapping the log-polar tail back warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [shoot(P3, 0.6, t_max=2000.0), *classify_sweep(P3, [0.3, 0.6], t_max=2000.0)]
+        # at m = 5, u^2 + v^2 itself overflows by then, so H is not finite
+        far = shoot(DissipativeParams(5), 0.6, t_max=2000.0)
+    for out in outs:
+        assert (out.cls, out.k, out.H_tail) == ("A", 0, math.inf)
+        assert 710.0 < out.t_end < 710.5
+    assert (far.cls, far.k) == ("A", 0) and not math.isfinite(far.H_tail)
+    assert math.isfinite(far.envelope)
 
 
 @pytest.mark.parametrize("m, mu", [(3, 0.1), (3, 0.7071), (3, 2.0), (4, 1.0), (5, 5.0)])

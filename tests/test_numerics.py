@@ -258,6 +258,24 @@ def test_find_root_out_of_steps_raises():
         find_root(lambda x: x ** 3 - 2, 0.0, 2.0, max_iter=2)
 
 
+@pytest.mark.parametrize("a, b", [(-1e300, 1e300), (1e300, -1e300), (-1e300, 3.5), (2.9, 1e300),
+                                  (-1.7e308, 1.7e308)])
+def test_find_root_in_a_bracket_of_very_unequal_ends(a, b):
+    # a step x1 + t (x2 - x1) from the far end rounds the near end's digits
+    # away, and x2 - x1 overflows past 1e308; steps from the nearer end
+    # settle in a few calls, with no warning
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 3.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(find_root(f, a, b) - 3.0) <= 1e-12
+    assert len(calls) <= 10 and all(min(a, b) <= x <= max(a, b) for x in calls)
+
+
 @given(
     a=st.floats(-10, 9.0),
     width=st.floats(0.5, 10),
