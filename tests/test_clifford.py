@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from diracorbits.clifford import (
     bundle_iso_m4,
     chirality_op,
     dirac_apply_fd,
+    rep_to_json_dict,
     verify_rep,
 )
+from diracorbits.serialize import dumps
 
 PAULI = [
     np.array([[0, 1], [-1, 0]], dtype=complex),
@@ -174,3 +178,41 @@ def test_matrices_are_the_alphas_as_one_complex_array():
         assert rep.matrices.shape == (m, rep.dim, rep.dim)
         for k, a in enumerate(rep.alphas):
             assert np.array_equal(rep.matrices[k], a.to_complex())
+
+
+# sha256 of the serialized family and of its verification report, pinned
+# from the int64 real/imaginary construction: any later storage of the
+# alphas must write the same bytes.
+REP_SHA256 = [
+    (1, "c8629514aa8a9ff39dab046ad31a368e7433cf7dd7d52ddeb65a025c6c7d999c",
+         "4ba9863a84ad7a83d0abb7dd4ae09e745e92435256d6c81f5a724c6c8ab61518"),
+    (2, "3ea633758757ad64c445d378b6df71ad9ff643cd01f31d3d747896ff890015ec",
+         "e33a66a06bc7917c7ca0dbc961639875d44bec11a62b07c85600d49c62ef3686"),
+    (3, "b42a468574dfbe735060e13f4b5c943bc705d4d1da41757b855ba04705024dd9",
+         "a03b512025087ad4625faa7d79d77577ba4a8a498806da589d501788d7c6faae"),
+    (4, "41cdd438fd46a4853d60bb27643c313b3d62d56b0b14cff0ebe2f16a1e468ed7",
+         "010c65b1915e95950e8a4cdcb35b0b52774cf9cf3d14e11dceb1fd9eacc28d93"),
+    (5, "c46e14865396f814ffb11cf76358a02c84aa21413101b83c74b082e214152521",
+         "19ceb55c24ce8a1f7ea01f46787df468efcdf76a988c5b800cc060b6313321b0"),
+    (6, "555e863b6f1b2ef4bb1ab72b4f60327c3a3d904baf2331e6d785a6b008c04208",
+         "ba8d61b4f55a20f00550dd1b3f8d63abd0c16acf6c0c07d051a09daf8b4ced88"),
+    (7, "1fd58eba2a91545ff1bfb6a82dc7afc368ec7264b7d650bc857b72de34751823",
+         "db4cc6ad9d48b6fe060c3ccddcf640f0ad53bee4d440e4be4f318e57fbecfd33"),
+    (8, "5ad4f2df3a406a5366d1172991f0207f48ee50a45f26c6eb9bb5e0d0f31b658a",
+         "a18e88dbfa2c9ce276c1597b9eec084ce61ce1c4d41b628b71108133c6a977be"),
+    (9, "91de8b0b2ddfa398f77c93b87baf1015c1a6c733b48f05fb9f8cfe62ac2a1c9f",
+         "d73e865b207755374a74607b926e08acec590ff5ce887475cbe18b25b0ec8bad"),
+    (10, "7ba1d45c44b7275ab3e562e193ff5859d0ace6e9fea0e6a1306be0207c455b9d",
+         "d1961fb5dbe71366c6f5f372ea3637f3e9c2fbcf171c9c73dad8dd2026d5fc8e"),
+    (11, "96fffba9622a50765a8e19b6cecd3762e428247b972946a38758b238749a6b55",
+         "9e89e562f232a03ac3e89473c1fd40f3502ca8b282ce8d54e3821e1cd7f88cb3"),
+    (12, "82f22a29d2fbd312234ae610d1e22f31c6f84f54147755777bc270765d7d556c",
+         "a1e9e6122546112de1e71fc01e8e2d2c1b5182cabe3b21ac6eaed6fc069f5ea1"),
+]
+
+
+@pytest.mark.parametrize("m, rep_sha, report_sha", REP_SHA256)
+def test_serialized_rep_and_report_bytes_are_pinned(m, rep_sha, report_sha):
+    rep = build_rep(m)
+    assert hashlib.sha256(dumps(rep_to_json_dict(rep)).encode()).hexdigest() == rep_sha
+    assert hashlib.sha256(dumps(verify_rep(rep)).encode()).hexdigest() == report_sha
