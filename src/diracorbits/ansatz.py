@@ -152,7 +152,7 @@ def _x_dot(rep: CliffordRep, x: np.ndarray, gamma0: np.ndarray) -> np.ndarray:
     out = np.zeros(rep.dim, dtype=np.complex128)
     for k in range(rep.m):
         if x[k] != 0.0:
-            out += x[k] * (rep.matrices[k] @ gamma0)
+            out += x[k] * (rep.alphas[k] @ gamma0)
     return out
 
 

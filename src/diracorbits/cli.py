@@ -63,11 +63,19 @@ def _finite_floats(text) -> list[float]:
     return [_finite_float(s) for s in str(text).split(",") if s.strip()]
 
 
+def _config_int(value) -> int:
+    """A --config value of an integer option, read as its flag reads its text."""
+    try:
+        return int(str(value))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+
+
 def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Fill unset options from --config JSON, then from defaults.
 
-    Config values pass the checks their flags get: numbers, and strings
-    standing for float options, must be finite, and the --grid and --h
+    Config values pass the checks their flags get: integer options are read
+    as their text, float options must be finite, and the --grid and --h
     lists are parsed entry by entry.
     """
     config = {}
@@ -81,6 +89,8 @@ def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespac
         value = config.get(key, default)
         if key in config and key in ("grid", "h"):
             value = _finite_floats(value)
+        elif key in config and key in ("m", "k", "mu_count", "n_samples", "jobs"):
+            value = _config_int(value)
         elif key in config and (isinstance(value, float) or isinstance(default, float)):
             value = _finite_float(value)
         setattr(args, key, value)

@@ -5,19 +5,18 @@ alpha_1..alpha_m of size 2^floor(m/2) satisfying
 
     alpha_j alpha_k + alpha_k alpha_j = -2 delta_jk I.
 
-All entries are Gaussian integers, so matrices are stored as integer
-real/imaginary parts and all identities are checked exactly.
+All entries lie in {0, +-1, +-i}, so the complex double arrays hold them,
+and every product the checks form, exactly; all identities are checked
+with zero tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "GaussianMatrix",
     "CliffordRep",
     "DimensionTooLarge",
     "build_rep",
@@ -31,6 +30,7 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 12
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 class DimensionTooLarge(ValueError):
@@ -42,76 +42,13 @@ class SingularityTooClose(ValueError):
 
 
 @dataclass(frozen=True)
-class GaussianMatrix:
-    """Square matrix over the Gaussian integers, stored as int64 parts."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    @staticmethod
-    def zeros(n: int) -> "GaussianMatrix":
-        return GaussianMatrix(np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64))
-
-    @staticmethod
-    def identity(n: int) -> "GaussianMatrix":
-        return GaussianMatrix(np.eye(n, dtype=np.int64), np.zeros((n, n), dtype=np.int64))
-
-    @property
-    def n(self) -> int:
-        return self.re.shape[0]
-
-    def __matmul__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return GaussianMatrix(
-            self.re @ other.re - self.im @ other.im,
-            self.re @ other.im + self.im @ other.re,
-        )
-
-    def __add__(self, other: "GaussianMatrix") -> "GaussianMatrix":
-        return GaussianMatrix(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "GaussianMatrix":
-        return GaussianMatrix(-self.re, -self.im)
-
-    def times_i_power(self, k: int) -> "GaussianMatrix":
-        """Multiply by i^k (k mod 4)."""
-        k %= 4
-        if k == 0:
-            return self
-        if k == 1:
-            return GaussianMatrix(-self.im, self.re)
-        if k == 2:
-            return -self
-        return GaussianMatrix(self.im, -self.re)
-
-    def conj_transpose(self) -> "GaussianMatrix":
-        return GaussianMatrix(self.re.T.copy(), -self.im.T.copy())
-
-    def equals(self, other: "GaussianMatrix") -> bool:
-        return bool(np.array_equal(self.re, other.re) and np.array_equal(self.im, other.im))
-
-    def to_complex(self) -> np.ndarray:
-        return self.re.astype(np.complex128) + 1j * self.im.astype(np.complex128)
-
-
-def _block(tl: GaussianMatrix, tr: GaussianMatrix,
-           bl: GaussianMatrix, br: GaussianMatrix) -> GaussianMatrix:
-    return GaussianMatrix(
-        np.block([[tl.re, tr.re], [bl.re, br.re]]),
-        np.block([[tl.im, tr.im], [bl.im, br.im]]),
-    )
-
-
-@dataclass(frozen=True)
 class CliffordRep:
+    """alphas: complex (m, dim, dim) array; chirality: complex (dim, dim)."""
+
     m: int
     dim: int
-    alphas: tuple[GaussianMatrix, ...]
-    chirality: GaussianMatrix = field(repr=False)
-
-    @cached_property
-    def matrices(self) -> np.ndarray:
-        """The alphas as one complex (m, dim, dim) array, built on first use."""
-        return np.array([a.to_complex() for a in self.alphas])
+    alphas: np.ndarray
+    chirality: np.ndarray = field(repr=False)
 
 
 def build_rep(m: int) -> CliffordRep:
@@ -122,75 +59,61 @@ def build_rep(m: int) -> CliffordRep:
             alpha_m = [[0, iI],[iI, 0]].
     m odd (m >= 3): reuse the (m-1)-family and append
             alpha_m = i^{(m+1)/2} alpha_1 ... alpha_{m-1}.
+
+    Exactness: every alpha, and every product of alphas, is a signed
+    permutation matrix with entries in {+-1, +-i}. Each entry of such a
+    product has a single nonzero term, and the anticommutator sums
+    verify_rep forms are integers in [-2, 2]. Complex doubles hold all of
+    these exactly, so the identity checks need no tolerance.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("m must be a positive integer")
     if m > MAX_DIMENSION:
         raise DimensionTooLarge(f"m = {m} exceeds the supported maximum {MAX_DIMENSION}")
 
-    one = GaussianMatrix(np.array([[1]], dtype=np.int64), np.array([[0]], dtype=np.int64))
-    alphas: list[GaussianMatrix] = [one.times_i_power(1)]  # m = 1: (i)
-
+    alphas = np.array([[[1j]]])
     for mm in range(2, m + 1):
         if mm % 2 == 0:
-            n = alphas[0].n
-            z = GaussianMatrix.zeros(n)
-            ident = GaussianMatrix.identity(n)
-            new = [
-                _block(z, a.times_i_power(3), a.times_i_power(1), z) for a in alphas
-            ]
-            new.append(_block(z, ident.times_i_power(1), ident.times_i_power(1), z))
-            alphas = new
-        else:
-            prod = alphas[0]
-            for a in alphas[1:]:
-                prod = prod @ a
-            alphas = alphas + [prod.times_i_power((mm + 1) // 2)]
+            z = np.zeros_like(alphas[0])
+            i_ident = 1j * np.eye(len(z))
+            alphas = np.array([np.block([[z, -1j * a], [1j * a, z]]) for a in alphas]
+                              + [np.block([[z, i_ident], [i_ident, z]])])
+        else:  # i^{(mm+1)/2} alpha_1 ... alpha_{mm-1} = i omega_{mm-1}, as mm - 1 is even
+            alphas = np.concatenate([alphas, [1j * chirality_op(alphas, mm - 1)]])
 
-    chir = chirality_op(tuple(alphas), m)
-    return CliffordRep(m=m, dim=alphas[0].n, alphas=tuple(alphas), chirality=chir)
+    return CliffordRep(m=m, dim=len(alphas[0]), alphas=alphas,
+                       chirality=chirality_op(alphas, m))
 
 
-def chirality_op(alphas: tuple[GaussianMatrix, ...], m: int) -> GaussianMatrix:
+def chirality_op(alphas: np.ndarray, m: int) -> np.ndarray:
     """omega = i^{floor((m+1)/2)} alpha_1 ... alpha_m; squares to the identity."""
-    prod = alphas[0]
-    for a in alphas[1:m]:
-        prod = prod @ a
-    return prod.times_i_power((m + 1) // 2)
+    prod = alphas[0] if m == 1 else np.linalg.multi_dot(list(alphas[:m]))
+    return _I_POWERS[(m + 1) // 2 % 4] * prod
 
 
 def verify_rep(rep: CliffordRep) -> dict:
-    """Exact structural checks; every reported residual is an integer count.
+    """Exact structural checks; every compared entry is a small integer.
 
     Returns a report with per-pair anticommutator status, skew-Hermitian
     status, and whether the chirality operator squares to the identity.
     """
-    n = rep.dim
-    ident = GaussianMatrix.identity(n)
-    anticommutators_ok = True
-    pair_failures = []
-    for j, aj in enumerate(rep.alphas):
-        for k, ak in enumerate(rep.alphas[: j + 1]):
-            s = aj @ ak + ak @ aj
-            expect = (-ident) + (-ident) if j == k else GaussianMatrix.zeros(n)
-            if not s.equals(expect):
-                anticommutators_ok = False
-                pair_failures.append((j + 1, k + 1))
-    skew_hermitian_ok = all(a.conj_transpose().equals(-a) for a in rep.alphas)
-    chir_sq = rep.chirality @ rep.chirality
-    entries_unimodular = all(
-        bool(np.all((a.re * a.im == 0) & (np.abs(a.re) + np.abs(a.im) <= 1)))
-        for a in rep.alphas
-    )
+    a, m, ident = rep.alphas, len(rep.alphas), np.eye(rep.dim)
+    pair_failures = [(j + 1, k + 1) for j in range(m) for k in range(j + 1)
+                     if not np.array_equal(a[j] @ a[k] + a[k] @ a[j], -2 * (j == k) * ident)]
+    anticommutators_ok = not pair_failures
+    skew_hermitian_ok = np.array_equal(a.conj().transpose(0, 2, 1), -a)
+    chirality_ok = np.array_equal(rep.chirality @ rep.chirality, ident)
+    entries_unimodular = bool(np.all((a.real * a.imag == 0)
+                                     & (np.abs(a.real) + np.abs(a.imag) <= 1)))
     return {
         "m": rep.m,
         "dim": rep.dim,
         "anticommutators_ok": anticommutators_ok,
         "pair_failures": pair_failures,
         "skew_hermitian_ok": skew_hermitian_ok,
-        "chirality_squares_to_identity": chir_sq.equals(ident),
+        "chirality_squares_to_identity": chirality_ok,
         "entries_in_{0,+-1,+-i}": entries_unimodular,
-        "ok": anticommutators_ok and skew_hermitian_ok and chir_sq.equals(ident),
+        "ok": anticommutators_ok and skew_hermitian_ok and chirality_ok,
     }
 
 
@@ -216,7 +139,7 @@ def dirac_apply_fd(
         e = np.zeros(rep.m)
         e[k] = h
         dpsi = (np.asarray(spinor_field(x + e)) - np.asarray(spinor_field(x - e))) / (2 * h)
-        out += rep.matrices[k] @ dpsi
+        out += rep.alphas[k] @ dpsi
     return out
 
 
@@ -254,7 +177,7 @@ def bundle_iso_m4() -> tuple[np.ndarray, list[np.ndarray], list[tuple[int, compl
         [[0, -1, 0, 1], [-1, 0, 1, 0], [0, 1, 0, 1], [-1, 0, -1, 0]],
         dtype=np.complex128,
     ) / np.sqrt(2)
-    a3 = build_rep(3).matrices
+    a3 = build_rep(3).alphas
     z = np.zeros((2, 2))
     betas = [np.block([[a, z], [z, -a]]) for a in a3]
     betas.append(1j * np.block([[z, np.eye(2)], [-np.eye(2), z]]))
@@ -263,13 +186,10 @@ def bundle_iso_m4() -> tuple[np.ndarray, list[np.ndarray], list[tuple[int, compl
 
 
 def rep_to_json_dict(rep: CliffordRep) -> dict:
-    """Serialize as {"m", "dim", "alphas"}; entries are [re, im] pairs."""
+    """Serialize as {"m", "dim", "alphas"}; entries are [re, im] integer pairs."""
+    a = rep.alphas
     return {
         "m": rep.m,
         "dim": rep.dim,
-        "alphas": [
-            [[[int(a.re[r, c]), int(a.im[r, c])] for c in range(rep.dim)]
-             for r in range(rep.dim)]
-            for a in rep.alphas
-        ],
+        "alphas": np.stack([a.real, a.imag], -1).astype(np.int64).tolist(),
     }

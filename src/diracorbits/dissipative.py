@@ -200,7 +200,7 @@ def shoot(
     holds both phases on the one grid, in (u, v), with their steps summed.
 
     No orbit is followed past the float range: the coupling's cosh(t)
-    overflows at t = 710.48, where a longer t_max ends with H_tail = inf.
+    overflows at t = 710.48, where a longer t_max ends with H_tail < 0.
     A class-A orbit grows like u^2 + v^2 <= C cosh t, so u^2 + v^2 itself
     overflows a few units later (t = 717.83 at m = 3, mu = 0.6) however
     the coupling is written.
@@ -236,7 +236,7 @@ def _solve(
     their signs and u^2 + v^2 > 0 (docs/decisions.md, "The trap stop"). With
     ``trap`` the solve returns there. Otherwise phase 2 continues from that
     sample in ``polar_field`` on the rest of the grid, and its samples are
-    mapped back to (u, v), where H is computed again. A lane that never
+    mapped back to (u, v), with H formed from (t, rho, phi). A lane that never
     traps keeps phase 1 to ``t_max``. An IntegrationError in phase 2
     carries both phases joined.
     """
@@ -268,24 +268,31 @@ def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory,
           t: np.ndarray) -> Trajectory:
     """``head`` followed by ``polar`` after its first sample, in (u, v), at times ``t``.
 
-    The mapped samples are written straight into the one output array.
-    ``polar`` is released before H is computed, so a caller that passes it
-    unbound frees its arrays before H's temporaries are made.
+    H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with
+    N the coupling of ``polar_field``: it never forms z^(m/(m-1)), which
+    overflows from t ~ 700 on. H and the mapped samples are written into
+    the output arrays, and a ``polar`` passed unbound is released here.
     """
-    n = len(head)
+    n, m = len(head), params.m
     states = np.empty((len(t),) + head.states.shape[1:])
     states[:n] = head.states
+    energy = np.empty(states.shape[:1] + states.shape[2:])
+    energy[:n] = head.energy
     accepted = head.steps_accepted + polar.steps_accepted
     rejected = head.steps_rejected + polar.steps_rejected
     reason = polar.terminal_reason
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.exp(0.5 * polar.states[1:, 0])
-        phi = polar.states[1:, 1]
+        rho, phi = polar.states[1:, 0], polar.states[1:, 1]
+        h = energy[n:]
+        np.exp(rho / (m - 1), out=h)
+        cosh_t = np.cosh(t[n:].reshape((-1,) + (1,) * (h.ndim - 1)))
+        h *= (m - 1) / (2 * m) * cosh_t ** (-1 / (m - 1))
+        h -= params.kappa / 2 * np.sin(2 * phi)
+        h *= np.exp(rho)
+        r = np.exp(0.5 * rho)
         np.multiply(r, np.cos(phi, out=states[n:, 0]), out=states[n:, 0])
         np.multiply(r, np.sin(phi, out=states[n:, 1]), out=states[n:, 1])
-        del polar, r, phi
-        energy = np.concatenate([head.energy, hamiltonian_t(
-            params, t[n:].reshape((-1,) + (1,) * (states.ndim - 2)), states[n:, 0], states[n:, 1])])
+        del polar, rho, phi, r
     return Trajectory(t, states, energy, accepted, rejected, reason)
 
 

@@ -34,7 +34,7 @@ def test_acceptance_01_clifford_identities():
         np.array([[-1j, 0], [0, 1j]], dtype=complex),
     ]
     ok = ok and all(
-        np.array_equal(rep3.alphas[j].to_complex(), pauli[j]) for j in range(3)
+        np.array_equal(rep3.alphas[j], pauli[j]) for j in range(3)
     )
     ok = ok and (time.perf_counter() - t0) < 1.0
     _verdict(1, "exact Clifford identities m=1..8 and m=3 matrices", ok)

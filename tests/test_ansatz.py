@@ -80,7 +80,7 @@ def test_eval_single_clifford_action_m2():
     rep = build_rep(2)
     g = np.array([1.0, 0.0], dtype=complex)
     out = ansatz_eval(rep, 0.0, 1.0, g, [1.0, 0.0])
-    expected = rep.alphas[0].to_complex() @ g
+    expected = rep.alphas[0] @ g
     assert np.allclose(out, expected)
     assert np.allclose(out, [0.0, -1.0])
 
@@ -89,7 +89,7 @@ def test_eval_m3_mixed():
     rep = build_rep(3)
     g = np.array([1.0, 0.0], dtype=complex)
     out = ansatz_eval(rep, 1.0, 1.0, g, [0.0, 0.0, 1.0])
-    oracle = g + rep.alphas[2].to_complex() @ g
+    oracle = g + rep.alphas[2] @ g
     assert np.allclose(out, oracle)
     assert np.allclose(out, [1.0 - 1.0j, 0.0])
 
@@ -131,7 +131,7 @@ def test_closed_form_quadratic_radial():
         x=[1.0, 0.0, 0.0],
         gamma0=g,
     )
-    assert np.allclose(out, rep.alphas[0].to_complex() @ g)
+    assert np.allclose(out, rep.alphas[0] @ g)
 
 
 def _fd_dirac_on_smooth(rep, f1, f2, x, gamma0, h):
@@ -146,7 +146,7 @@ def _fd_dirac_on_smooth(rep, f1, f2, x, gamma0, h):
     for k in range(rep.m):
         e = np.zeros(rep.m)
         e[k] = h
-        out += rep.alphas[k].to_complex() @ ((field(x + e) - field(x - e)) / (2 * h))
+        out += rep.alphas[k] @ ((field(x + e) - field(x - e)) / (2 * h))
     return out
 
 
@@ -181,7 +181,7 @@ def test_closed_form_stays_in_ansatz_space():
     frame1 = g
     frame2 = np.zeros(rep.dim, dtype=complex)
     for k in range(3):
-        frame2 += x[k] / r * (rep.alphas[k].to_complex() @ g)
+        frame2 += x[k] / r * (rep.alphas[k] @ g)
     # <gamma0, x.gamma0> is purely imaginary (the alphas are skew-hermitian),
     # so the real coefficients are recovered by the real parts alone
     c1 = np.vdot(frame1, out).real
@@ -359,7 +359,7 @@ def _residual_loop(kind, m, prof, rep, points, h):
         for kk in range(rep.m):
             e = np.zeros(rep.m)
             e[kk] = h
-            dpsi += rep.alphas[kk].to_complex() @ ((field(x + e) - field(x - e)) / (2 * h))
+            dpsi += rep.alphas[kk] @ ((field(x + e) - field(x - e)) / (2 * h))
         psi = field(x)
         hnl = 1.0 if kind == "autonomous" else (2 / (1 + r * r)) ** (1 / (m - 1))
         rhs = hnl * float(np.linalg.norm(psi)) ** (2 / (m - 1)) * psi

@@ -368,8 +368,9 @@ def _reject_constant(name):
 
 
 def test_non_finite_result_is_strict_json_null(tmp_path, capsys):
-    # the coupling cosh(t)^(-1/(m-1)) overflows at t ~ 710, so H_tail is inf
-    argv = ["dissipative", "shoot", "--m", "3", "--mu", "0.6", "--t-max", "2000"]
+    # the coupling cosh(t)^(-1/(m-1)) overflows at t ~ 710, where at m = 5
+    # e^rho has overflowed too, so H_tail is -inf
+    argv = ["dissipative", "shoot", "--m", "5", "--mu", "0.6", "--t-max", "2000"]
     assert run(*argv) == 0
     stdout = capsys.readouterr().out
     out = tmp_path / "shoot.json"
@@ -443,6 +444,30 @@ def test_non_finite_config_value_is_usage_error(config, tmp_path, capsys):
     cfg.write_text(config)
     assert run("dissipative", "sweep", "--config", str(cfg)) == 1
     _assert_one_usage_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("config", [
+    '{"m": 3.7}',
+    '{"m": true}',
+    '{"mu_count": 2.5}',
+    '{"mu_count": "2.5"}',
+])
+def test_non_integer_config_value_is_usage_error(config, tmp_path, capsys):
+    # --m 3.7 and --mu-count 2.5 are rejected, so their config values are too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run("dissipative", "sweep", "--config", str(cfg)) == 1
+    _assert_one_usage_error(capsys.readouterr().err)
+
+
+def test_integer_config_string_reads_as_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"m": "4"}')
+    assert run("clifford", "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run("clifford", "--m", "4") == 0
+    assert from_config == capsys.readouterr().out
+    assert json.loads(from_config)["m"] == 4
 
 
 # ---------------------------------------------------------------------------

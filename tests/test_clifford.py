@@ -42,37 +42,37 @@ def test_invariants_exact_through_m12(m):
     assert report["entries_in_{0,+-1,+-i}"]
     # exactly one nonzero entry per row and column, modulus 1
     for a in rep.alphas:
-        nz = (a.re != 0) | (a.im != 0)
+        nz = a != 0
         assert np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)
-        assert np.all(np.abs(a.re[nz]) + np.abs(a.im[nz]) == 1)
+        assert np.all(np.abs(a.real[nz]) + np.abs(a.imag[nz]) == 1)
 
 
 def test_m1_is_scalar_i():
     rep = build_rep(1)
     assert rep.dim == 1
-    assert rep.alphas[0].to_complex()[0, 0] == 1j
+    assert rep.alphas[0][0, 0] == 1j
 
 
 def test_m2_matrices_match_reference():
     rep = build_rep(2)
     for got, want in zip(rep.alphas, PAULI[:2]):
-        assert np.array_equal(got.to_complex(), want)
+        assert np.array_equal(got, want)
 
 
 def test_m3_matrices_are_pauli():
     rep = build_rep(3)
     for got, want in zip(rep.alphas, PAULI):
-        assert np.array_equal(got.to_complex(), want)
+        assert np.array_equal(got, want)
     # the first two reuse the m=2 family exactly
     rep2 = build_rep(2)
     for j in range(2):
-        assert rep.alphas[j].equals(rep2.alphas[j])
+        assert np.array_equal(rep.alphas[j], rep2.alphas[j])
 
 
 def test_m4_matrices_match_reference():
     rep = build_rep(4)
     for got, want in zip(rep.alphas, M4_EXPECTED):
-        assert np.array_equal(got.to_complex(), want)
+        assert np.array_equal(got, want)
 
 
 def test_dimension_cap():
@@ -84,23 +84,19 @@ def test_dimension_cap():
 def test_chirality_squares_to_identity(m):
     rep = build_rep(m)
     sq = rep.chirality @ rep.chirality
-    assert np.array_equal(sq.to_complex(), np.eye(rep.dim))
+    assert np.array_equal(sq, np.eye(rep.dim))
 
 
 def test_chirality_low_dim_values():
     # recorded from the direct matrix product (sign is convention-bound)
-    assert np.array_equal(build_rep(2).chirality.to_complex(), np.diag([-1.0, 1.0]))
-    assert np.array_equal(build_rep(3).chirality.to_complex(), -np.eye(2))
+    assert np.array_equal(build_rep(2).chirality, np.diag([-1.0, 1.0]))
+    assert np.array_equal(build_rep(3).chirality, -np.eye(2))
 
 
 def test_verify_rep_detects_duplicated_matrix():
     rep = build_rep(3)
-    broken = CliffordRep(
-        m=3,
-        dim=2,
-        alphas=(rep.alphas[0], rep.alphas[0], rep.alphas[2]),
-        chirality=chirality_op((rep.alphas[0], rep.alphas[0], rep.alphas[2]), 3),
-    )
+    alphas = rep.alphas[[0, 0, 2]]
+    broken = CliffordRep(m=3, dim=2, alphas=alphas, chirality=chirality_op(alphas, 3))
     report = verify_rep(broken)
     assert not report["anticommutators_ok"]
     assert (2, 1) in report["pair_failures"]
@@ -111,7 +107,7 @@ def test_verify_rep_sign_flip_still_passes():
     flipped = CliffordRep(
         m=3,
         dim=2,
-        alphas=(rep.alphas[0], -rep.alphas[1], rep.alphas[2]),
+        alphas=np.stack([rep.alphas[0], -rep.alphas[1], rep.alphas[2]]),
         chirality=rep.chirality,
     )
     assert verify_rep(flipped)["anticommutators_ok"]
@@ -128,7 +124,7 @@ def test_fd_linear_field_exact():
     gamma0 = np.array([1.0, 0.0], dtype=complex)
 
     out = dirac_apply_fd(rep, lambda x: x[0] * gamma0, np.array([0.5, 0.3]))
-    want = rep.alphas[0].to_complex() @ gamma0
+    want = rep.alphas[0] @ gamma0
     assert np.max(np.abs(out - want)) < 1e-10
 
 
@@ -140,7 +136,7 @@ def test_fd_singularity_guard():
 
 def test_bundle_iso_m2_intertwines():
     M, betas, corr = bundle_iso_m2()
-    alphas = [a.to_complex() for a in build_rep(2).alphas]
+    alphas = build_rep(2).alphas
     assert np.allclose(M @ M.conj().T, np.eye(2))
     for beta, (j, c) in zip(betas, corr):
         assert np.allclose(M @ beta, c * alphas[j - 1] @ M, atol=1e-14)
@@ -148,7 +144,7 @@ def test_bundle_iso_m2_intertwines():
 
 def test_bundle_iso_m4_intertwines():
     T, betas, corr = bundle_iso_m4()
-    alphas = [a.to_complex() for a in build_rep(4).alphas]
+    alphas = build_rep(4).alphas
     assert np.allclose(T @ T.conj().T, np.eye(4))
     for beta, (j, c) in zip(betas, corr):
         assert np.allclose(T @ beta, c * alphas[j - 1] @ T, atol=1e-14)
@@ -161,7 +157,7 @@ def test_bundle_isos_on_random_spinors(m_sel, data):
     iso = bundle_iso_m2() if m_sel % 2 else bundle_iso_m4()
     M, betas, corr = iso
     n = M.shape[0]
-    alphas = [a.to_complex() for a in build_rep(2 if n == 2 else 4).alphas]
+    alphas = build_rep(2 if n == 2 else 4).alphas
     vals = data.draw(
         st.lists(st.floats(-5, 5), min_size=2 * n, max_size=2 * n)
     )
@@ -175,9 +171,12 @@ def test_bundle_isos_on_random_spinors(m_sel, data):
 def test_matrices_are_the_alphas_as_one_complex_array():
     for m in range(1, 9):
         rep = build_rep(m)
-        assert rep.matrices.shape == (m, rep.dim, rep.dim)
-        for k, a in enumerate(rep.alphas):
-            assert np.array_equal(rep.matrices[k], a.to_complex())
+        assert rep.alphas.shape == (m, rep.dim, rep.dim)
+        assert rep.alphas.dtype == np.complex128
+        assert rep.chirality.shape == (rep.dim, rep.dim)
+        # the one complex array is exactly the integer pairs it serializes to
+        pairs = np.array(rep_to_json_dict(rep)["alphas"])
+        assert np.array_equal(rep.alphas, pairs[..., 0] + 1j * pairs[..., 1])
 
 
 # sha256 of the serialized family and of its verification report, pinned

@@ -462,17 +462,33 @@ def test_trapped_tail_takes_fewer_steps():
 
 def test_long_horizon_ends_at_the_coupling_overflow_without_warnings():
     # cosh(t) overflows at t = 710.48: the orbit is class A with k = 0 and
-    # H_tail = inf there, and mapping the log-polar tail back warns of nothing
+    # H <= 0 after the trap, so H_tail < 0 there, and mapping the log-polar
+    # tail back warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outs = [shoot(P3, 0.6, t_max=2000.0), *classify_sweep(P3, [0.3, 0.6], t_max=2000.0)]
-        # at m = 5, u^2 + v^2 itself overflows by then, so H is not finite
-        far = shoot(DissipativeParams(5), 0.6, t_max=2000.0)
-    for out in outs:
-        assert (out.cls, out.k, out.H_tail) == ("A", 0, math.inf)
+        # at m = 5, e^rho itself overflows by then, so H_tail is -inf
+        far = [shoot(DissipativeParams(m), 0.6, t_max=2000.0) for m in (4, 5)]
+    for out in outs + far:
+        assert (out.cls, out.k) == ("A", 0) and out.H_tail < 0.0
         assert 710.0 < out.t_end < 710.5
-    assert (far.cls, far.k) == ("A", 0) and not math.isfinite(far.H_tail)
-    assert math.isfinite(far.envelope)
+        assert math.isfinite(out.envelope)
+    assert all(math.isfinite(out.H_tail) for out in outs)
+    assert far[1].H_tail == -math.inf
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("mu", [0.6, 2.0, 10.0])
+def test_polar_tail_energy_is_hamiltonian_t_where_z_is_finite(m, mu):
+    # the trapped tail's H is formed from (t, rho, phi); up to t = 60 it is
+    # hamiltonian_t of the mapped samples, to rounding of its two terms
+    params = DissipativeParams(m)
+    traj = shoot(params, mu).trajectory
+    z = traj.u ** 2 + traj.v ** 2
+    scale = (params.kappa * z / 2
+             + (m - 1) / (2 * m) * np.cosh(traj.t) ** (-1 / (m - 1)) * z ** (m / (m - 1)))
+    H = hamiltonian_t(params, traj.t, traj.u, traj.v)
+    assert np.all(np.abs(traj.energy - H) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("m, mu", [(3, 0.1), (3, 0.7071), (3, 2.0), (4, 1.0), (5, 5.0)])
