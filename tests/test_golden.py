@@ -6,13 +6,15 @@ boundary_bisect brackets at m = 3. The tolerances below are stated in
 the file; a change of integrator must stay within them.
 """
 
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from diracorbits.dissipative import DissipativeParams, boundary_bisect, classify_sweep
+from diracorbits.dissipative import DissipativeParams, boundary_bisect, classify_sweep, shoot
+from diracorbits.serialize import dumps
 
 GOLDEN = json.loads((Path(__file__).with_name("golden_dissipative.json")).read_text())
 REL = 1e-6
@@ -53,3 +55,48 @@ def test_golden_boundary(case):
     else:
         old_lo, old_hi = case["bracket"]
         assert _close(lo, old_lo) and _close(hi, old_hi), (lo, hi, case["bracket"])
+
+
+# sha256 of the outputs of the stacked and lone solves, pinned with numpy
+# 2.4 on x86-64: a change to how a solve stops or steps must leave every
+# bracket, sweep record and shoot (its samples too) the same doubles
+BRACKETS = [(3, 0, 0.6, 0.8), (3, 1, 1.5, 2.0), (3, 2, 2.3, 2.6), (4, 0, 1.2, 1.4),
+            (4, 1, 2.5, 2.8), (4, 2, 4.0, 4.4), (5, 0, 2.6, 3.0), (5, 1, 5.0, 5.5)]
+BRACKETS_SHA256 = "d42bc34e4a011edda8c2442f6e25301dee646478b006f4a2a25837158c1dc187"
+SWEEP_SHA256 = {
+    3: "2d9ba9cf7cb58cc7d4e5f814039049c2cf276b548a206bc18c0ce745c20a8a96",
+    4: "99e6023c521ed13829bdcdd22ff19d21d91ec0003f32608d8d9e1c60a77fe8a7",
+    5: "a2b305e102e3a63671aab2e4d98a1d19a83227d5314a15f2742f9d51f9486c41",
+}
+# class A with k = 0, 0, 2, 0, 1; an I-candidate on the k = 0 boundary; undetermined
+SHOOTS = [(3, 0.3, 60.0), (3, 0.6, 60.0), (3, 2.0, 60.0), (4, 1.0, 60.0), (5, 5.0, 60.0),
+          (4, 1.299038105676658, 8.5), (3, 0.7071067812, 0.5)]
+SHOOTS_SHA256 = ("11b28e9054ea869edbc2415105a42c456b49dee3aac9299d615d2721b975ad7a",
+                 "68df2ab3bedb0402e2f0f7b0f9c4cd4d3f252f464bd15378cb547ce19b263bd1")
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(dumps(obj).encode()).hexdigest()
+
+
+def test_bracket_bytes_are_pinned():
+    out = [list(boundary_bisect(DissipativeParams(m), k, lo, hi, tol=1e-8)[:2])
+           for m, k, lo, hi in BRACKETS]
+    assert _sha256(out) == BRACKETS_SHA256, out
+
+
+@pytest.mark.parametrize("sweep", GOLDEN["sweeps"], ids=lambda s: f"m{s['m']}")
+def test_sweep_record_bytes_are_pinned(sweep):
+    outs = classify_sweep(DissipativeParams(sweep["m"]), [lane["mu"] for lane in sweep["lanes"]],
+                          t_max=GOLDEN["t_max"])
+    assert _sha256([o.to_json_dict() for o in outs]) == SWEEP_SHA256[sweep["m"]]
+
+
+def test_shoot_bytes_are_pinned():
+    records, samples = [], hashlib.sha256()
+    for m, mu, t_max in SHOOTS:
+        out = shoot(DissipativeParams(m), mu, t_max=t_max)
+        records.append(out.to_json_dict())
+        for a in (out.trajectory.t, out.trajectory.states, out.trajectory.energy):
+            samples.update(a.tobytes())
+    assert (_sha256(records), samples.hexdigest()) == SHOOTS_SHA256
