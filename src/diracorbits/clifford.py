@@ -41,9 +41,14 @@ class SingularityTooClose(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CliffordRep:
-    """alphas: complex (m, dim, dim) array; chirality: complex (dim, dim)."""
+    """alphas: complex (m, dim, dim) array; chirality: complex (dim, dim).
+
+    Equality and hash are by identity: numpy fields have no truth value to
+    compare by. ``build_rep`` returns read-only arrays, so a rep stays as
+    built; compare two with ``np.array_equal`` on their fields.
+    """
 
     m: int
     dim: int
@@ -81,8 +86,9 @@ def build_rep(m: int) -> CliffordRep:
         else:  # i^{(mm+1)/2} alpha_1 ... alpha_{mm-1} = i omega_{mm-1}, as mm - 1 is even
             alphas = np.concatenate([alphas, [1j * chirality_op(alphas, mm - 1)]])
 
-    return CliffordRep(m=m, dim=len(alphas[0]), alphas=alphas,
-                       chirality=chirality_op(alphas, m))
+    chirality = chirality_op(alphas, m)
+    alphas.flags.writeable = chirality.flags.writeable = False
+    return CliffordRep(m=m, dim=len(alphas[0]), alphas=alphas, chirality=chirality)
 
 
 def chirality_op(alphas: np.ndarray, m: int) -> np.ndarray:

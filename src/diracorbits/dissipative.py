@@ -52,6 +52,8 @@ BISECT_LANES = 15
 # step attempts per turn of the orbit near t = 0 are at least this many at
 # rtol 1e-10; measured no fewer than 17.4 for m = 3..12, mu = 10..1e4
 MIN_ATTEMPTS_PER_TURN = 5.0
+# the envelope is the decay rate of ln(u^2+v^2) over the last this many time units
+TAIL_WINDOW = 5.0
 
 
 class BracketInvalid(ValueError):
@@ -164,18 +166,61 @@ def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def _tail_decay_exponent(traj: Trajectory, window: float = 5.0) -> float | None:
-    """Least-squares slope of ln(u^2+v^2) over the final `window` time units.
+def _sign_flips(v: np.ndarray, last: np.ndarray, deadband: float):
+    """The samples where each column of v, (n, lanes), changes sign, as ``sign_changes`` counts.
 
-    None with fewer than 10 positive samples there, or when their times do
-    not spread (a horizon of a few float spacings).
+    ``last`` holds each lane's sign before these samples (0 for none yet).
+    Returns an (n, lanes) bool array, true at each sample that makes a
+    change, and each lane's last sign. A sample within the deadband takes
+    the sign before it (a forward fill), and a change counts only between
+    two nonzero signs.
     """
-    r = np.hypot(traj.u, traj.v)
-    mask = (traj.t >= traj.t[-1] - window) & (r > 0)
-    if mask.sum() < 10:
-        return None
-    # ln z as 2 ln r stays finite where z = r^2 overflows, as near t = 710
-    return ls_slope(traj.t[mask], 2 * np.log(r[mask]))
+    signs = np.empty((len(v) + 1, v.shape[1]))
+    signs[0] = last
+    outside = np.abs(v) > deadband
+    if outside.all() and last.all():
+        np.sign(v, out=signs[1:])
+        return signs[1:] != signs[:-1], signs[-1]
+    np.copysign(outside, v, out=signs[1:])
+    at = np.where(signs != 0, np.arange(len(signs))[:, None], 0)
+    np.maximum.accumulate(at, axis=0, out=at)
+    signs = np.take_along_axis(signs, at, axis=0)
+    return (signs[1:] != signs[:-1]) & (signs[:-1] != 0), signs[-1]
+
+
+def _side_stop(params: DissipativeParams, y0: np.ndarray, side: int | None, deadband: float):
+    """The ``stop`` of ``_solve``: true at the grid samples where every lane is decided.
+
+    A lane is decided once H <= 0 (it is trapped, so its count is final),
+    or, with ``side``, once v has changed sign more than ``side`` times
+    outside the deadband so far (a count over more samples is never
+    smaller). The count and each lane's last sign carry from one fill to
+    the next; H is evaluated on a whole fill only when every lane is
+    decided at its last sample, since H never rises.
+    """
+    en = partial(hamiltonian_t, params)
+    v0 = np.reshape(y0[1], (1, -1))
+    last = _sign_flips(v0, np.zeros(v0.shape[1]), deadband)[1]
+    count = 0
+
+    def stop(t, u, v):
+        nonlocal count, last
+        n = len(t)
+        t = t.reshape((-1,) + (1,) * (u.ndim - 1))
+        if side is not None:
+            flips, last = _sign_flips(v.reshape(n, -1), last, deadband)
+            before, count = count, count + flips.sum(axis=0)
+        decided = en(t[-1:], u[-1:], v[-1:]).reshape(-1) <= 0.0
+        if side is not None:
+            decided |= count > side
+        if not decided.all():
+            return np.zeros(n, dtype=bool)
+        decided = en(t, u, v).reshape(n, -1) <= 0.0
+        if side is not None:
+            decided |= before + np.cumsum(flips, axis=0) > side
+        return decided.all(axis=1)
+
+    return stop
 
 
 def shoot(
@@ -218,7 +263,7 @@ def shoot(
         if traj is None or len(traj) < 2:
             raise
 
-    return _classify(params, mu, traj, thresholds)
+    return replace(_outcomes(params, [mu], traj, thresholds)[0], trajectory=traj)
 
 
 def _solve(
@@ -227,23 +272,28 @@ def _solve(
     t_max: float,
     tol: Tolerances,
     n_samples: int,
-    trap: bool = False,
+    side: int | None = None,
+    deadband: float = Thresholds().deadband,
 ) -> Trajectory:
     """Solve from y0 (one lane, or a (2, lanes) stack) at t = 0 to ``t_max``.
 
-    Phase 1 integrates ``time_field`` and ends at the first grid sample
-    where H <= 0 on every lane. Each lane is then trapped: u and v keep
-    their signs and u^2 + v^2 > 0 (docs/decisions.md, "The trap stop"). With
-    ``trap`` the solve returns there. Otherwise phase 2 continues from that
-    sample in ``polar_field`` on the rest of the grid, and its samples are
-    mapped back to (u, v), with H formed from (t, rho, phi). A lane that never
-    traps keeps phase 1 to ``t_max``. An IntegrationError in phase 2
-    carries both phases joined.
+    Phase 1 integrates ``time_field``. With ``side=None`` it ends at the
+    first grid sample where H <= 0 on every lane. Each lane is then
+    trapped: u and v keep their signs and u^2 + v^2 > 0 (docs/decisions.md,
+    "The trap stop"). Phase 2 continues from that sample in ``polar_field``
+    on the rest of the grid, and its samples are mapped back to (u, v),
+    with H formed from (t, rho, phi). A lane that never traps keeps phase 1
+    to ``t_max``. An IntegrationError in phase 2 carries both phases joined.
+
+    With ``side=k`` phase 1 ends at the first grid sample where every lane
+    has H <= 0 or more than k sign changes of v outside ``deadband`` so far
+    (``_side_stop``), and the solve returns there: each lane's count is
+    then final, or already known to exceed k.
     """
-    en = partial(hamiltonian_t, params)
     head = integrate(time_field(params), y0, (0.0, t_max), tol=tol, n_samples=n_samples,
-                     energy=en, stop=lambda t, u, v: bool(np.all(en(t, u, v) <= 0.0)))
-    if trap or head.terminal_reason != "stopped":
+                     energy=partial(hamiltonian_t, params),
+                     stop=_side_stop(params, y0, side, deadband))
+    if side is not None or head.terminal_reason != "stopped":
         return head
     # only the samples reached are kept, so phase 1's full-grid array goes
     head = replace(head, states=head.states.copy())
@@ -315,42 +365,56 @@ def _check_work(params: DissipativeParams, mu: float, t_max: float, tol: Toleran
             f"at least {need:.3g} step attempts; max_steps is {tol.max_steps}")
 
 
-def _classify(
-    params: DissipativeParams, mu: float, traj: Trajectory, thresholds: Thresholds
-) -> ShootingOutcome:
-    """The classification rules of ``shoot`` applied to one lane's samples."""
-    k = sign_changes(traj, "v", thresholds.deadband)
-    t_end = float(traj.t[-1])
-    H_tail = float(traj.energy[-1])
+def _outcomes(
+    params: DissipativeParams, mus: list[float], traj: Trajectory, thresholds: Thresholds
+) -> list[ShootingOutcome]:
+    """The classification rules of ``shoot`` applied to every lane of ``traj`` at once.
 
-    nonpos = np.nonzero(traj.energy <= 0.0)[0]
-    first_nonpositive = float(traj.t[nonpos[0]]) if len(nonpos) else None
-
+    k is each lane's ``sign_changes`` of v, and the class comes from the
+    first H <= 0 or else the decay test on u^2 + v^2 at the end. The
+    envelope is the least-squares slope of ln(u^2+v^2) over the last
+    TAIL_WINDOW time units, formed on that window alone: None with fewer
+    than 10 positive samples there, or when their times do not spread (a
+    horizon of a few float spacings).
+    """
+    n = len(traj)
+    u, v = traj.u.reshape(n, -1), traj.v.reshape(n, -1)
+    energy = traj.energy.reshape(n, -1)
+    ks = _sign_flips(v, np.zeros(v.shape[1]), thresholds.deadband)[0].sum(axis=0)
+    nonpos = energy <= 0.0
+    first = nonpos.argmax(axis=0)
     with np.errstate(over="ignore"):
-        z_final = float(traj.u[-1] ** 2 + traj.v[-1] ** 2)
-    slope = _tail_decay_exponent(traj)
+        z_final = u[-1] ** 2 + v[-1] ** 2
+    t_end = float(traj.t[-1])
+    tail = int(np.searchsorted(traj.t, t_end - TAIL_WINDOW))
+    t_tail, r = traj.t[tail:], np.hypot(u[tail:], v[tail:])
 
-    if first_nonpositive is not None:
-        cls = "A"
-    elif (
-        z_final < thresholds.decay_threshold
-        and slope is not None
-        and abs(slope + (params.m - 2)) <= thresholds.fit_tol * (params.m - 2)
-    ):
-        cls = "I-candidate"
-    else:
-        cls = "undetermined"
-
-    return ShootingOutcome(
-        mu=mu,
-        k=k,
-        cls=cls,
-        t_end=t_end,
-        H_tail=H_tail,
-        envelope=slope,
-        first_nonpositive_H=first_nonpositive,
-        trajectory=traj,
-    )
+    outcomes = []
+    for i, mu in enumerate(mus):
+        pos = r[:, i] > 0
+        # ln z as 2 ln r stays finite where z = r^2 overflows, as near t = 710
+        slope = (ls_slope(t_tail[pos], 2 * np.log(r[pos, i]))
+                 if np.count_nonzero(pos) >= 10 else None)
+        if nonpos[first[i], i]:
+            cls = "A"
+        elif (
+            z_final[i] < thresholds.decay_threshold
+            and slope is not None
+            and abs(slope + (params.m - 2)) <= thresholds.fit_tol * (params.m - 2)
+        ):
+            cls = "I-candidate"
+        else:
+            cls = "undetermined"
+        outcomes.append(ShootingOutcome(
+            mu=mu,
+            k=int(ks[i]),
+            cls=cls,
+            t_end=t_end,
+            H_tail=float(energy[-1, i]),
+            envelope=slope,
+            first_nonpositive_H=float(traj.t[first[i]]) if cls == "A" else None,
+        ))
+    return outcomes
 
 
 def boundary_bisect(
@@ -368,22 +432,28 @@ def boundary_bisect(
     Each round classifies BISECT_LANES evenly spaced interior points of the
     bracket [a, b] in one stacked solve and keeps the adjacent pair where k
     first exceeds the target, gaining 4 bits per round; the last round uses
-    only as many points as reaching ``tol`` needs. A solve ends once H <= 0
-    on every lane (k and class are final then); a lane that is not class A
-    keeps the solve running to ``t_max``. Such lanes are expected near the
-    boundary, where the decaying layer lives: every one, from every round,
-    is returned in the diagnostics, and each point takes a side by its
-    sign-change count alone. The loop also ends when the bracket holds no
-    double between its ends, so a ``tol`` below the float spacing returns
-    adjacent doubles.
+    only as many points as reaching ``tol`` needs. Each point takes a side
+    by its sign-change count alone, so a solve (the end check's too) ends
+    once every lane's side is decided: H <= 0 (k is final then) or more
+    than k sign changes so far (``_solve`` with ``side=k``). The counts,
+    and so the brackets, are those of solves run to the trap on every lane.
+    A round with a lane that is neither keeps running to ``t_max``. Such
+    lanes are expected near the boundary, where the decaying layer lives:
+    the lanes that are not class A in every round that ran to ``t_max``
+    are returned in the diagnostics. A lane above k that never traps, in a
+    round whose other lanes are all decided, ends that round early and is
+    not listed. The loop also ends when the bracket holds no double between
+    its ends, so a ``tol`` below the float spacing returns adjacent doubles.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
-    lo, hi = _shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, trap=True)
+    lo, hi = _shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, side=k)
     if lo.k > k or hi.k < k + 1:
+        # a count above k is counted only up to the stop
+        got = [f"k(mu_lo) >= {lo.k}"] if lo.k > k else []
+        got += [f"k(mu_hi) = {hi.k}"] if hi.k < k + 1 else []
         raise BracketInvalid(
-            f"need k(mu_lo) <= {k} and k(mu_hi) >= {k + 1}; got {lo.k} and {hi.k}"
-        )
+            f"need k(mu_lo) <= {k} and k(mu_hi) >= {k + 1}; got {' and '.join(got)}")
     diagnostics: list[dict] = []
     a, b = mu_lo, mu_hi
     while b - a > tol:
@@ -392,8 +462,9 @@ def boundary_bisect(
         mus = [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
         if not mus:
             break
-        outs = _shoot_lanes(params, mus, t_max, thresholds, trap=True)
-        diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
+        outs = _shoot_lanes(params, mus, t_max, thresholds, side=k)
+        if max(o.t_end for o in outs) == t_max:
+            diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
         grid = [a, *mus, b]
         j = next((i for i, o in enumerate(outs, 1) if o.k > k), len(grid) - 1)
         a, b = grid[j - 1], grid[j]
@@ -508,15 +579,16 @@ def _shoot_lanes(
     mus: list[float],
     t_max: float,
     thresholds: Thresholds,
-    trap: bool = False,
+    side: int | None = None,
 ) -> list[ShootingOutcome]:
     """Classify each mu as ``shoot`` does, all lanes in one stacked solve.
 
     The solve is ``_solve``'s: in (u, v) up to the first grid sample where
     H <= 0 on every lane, then in ``polar_field`` to ``t_max``. With
-    ``trap`` it ends at that sample: H never rises again and keeps
-    kappa*u*v > 0, so v changes sign no more and each lane's k, class and
-    first nonpositive H are final there. If the stacked solve fails, in
+    ``side=k`` it ends at the first sample where every lane has H <= 0 or
+    more than k sign changes: H never rises again and keeps kappa*u*v > 0,
+    so a trapped lane's k, class and first nonpositive H are final there,
+    and a lane above k keeps ``k > side``. If the stacked solve fails, in
     either coordinate system, each lane is shot on its own.
     """
     if any(not mu > 0 for mu in mus):
@@ -525,11 +597,8 @@ def _shoot_lanes(
         return []
     _check_work(params, max(mus), t_max, Tolerances())
     try:
-        traj = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001, trap)
+        traj = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001, side,
+                      thresholds.deadband)
     except IntegrationError:
         return [replace(shoot(params, mu, t_max, thresholds), trajectory=None) for mu in mus]
-    outcomes = []
-    for i, mu in enumerate(mus):
-        lane = Trajectory(traj.t, traj.states[:, :, i], traj.energy[:, i])
-        outcomes.append(replace(_classify(params, mu, lane, thresholds), trajectory=None))
-    return outcomes
+    return _outcomes(params, mus, traj, thresholds)

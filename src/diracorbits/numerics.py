@@ -42,7 +42,7 @@ _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
 
 PlanarField = Callable[[float, float, float], tuple[float, float]]
 EnergyFn = Callable[[float, float, float], float]
-StopFn = Callable[[float, np.ndarray, np.ndarray], bool]
+StopFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 class IntegrationError(RuntimeError):
@@ -140,12 +140,13 @@ def integrate(
     when given, is called once on the sample arrays and stored on the
     trajectory.
 
-    ``stop(t, u, v)``, when given, is called on the latest grid sample after
-    each dense-output fill. Once it returns true the solve ends: the
-    trajectory is cut at the first sample of that fill where ``stop`` holds
-    and carries ``terminal_reason="stopped"``. ``stop`` should stay true
-    once true (as H <= 0 does for a dissipative energy), so that sample is
-    the first one on the grid where it holds.
+    ``stop(t, u, v)``, when given, is called once per dense-output fill on
+    all of that fill's new samples: t has shape (n,), and u and v have
+    shape (n,) or (n, lanes). The samples after the initial one and before
+    the last reach it in time order, each exactly once, so ``stop`` may
+    keep state from one fill to the next. It returns n booleans, and the
+    solve ends at the first true one: the trajectory is cut at that sample
+    and carries ``terminal_reason="stopped"``.
 
     Raises StepLimitExceeded once ``tol.max_steps`` step attempts are spent
     (checked between steps), and NonFiniteState when the state turns
@@ -166,18 +167,24 @@ def integrate(
     shape = y0.shape
     rtol, atol = max(tol.rel_tol, 100 * EPS), np.asarray(tol.abs_tol)
 
-    def rhs(t, y):
-        f = np.empty(shape)
+    lanes = y0[0].size
+
+    def rhs(t, y, out):
+        """The field at the flat state y, written into the flat array ``out``."""
         try:
             # one lane runs on Python floats, several on numpy arrays
-            f[0], f[1] = field(t, *(y.reshape(shape) if y0.ndim == 2 else y.tolist()))
+            if y0.ndim == 2:
+                out[:lanes], out[lanes:] = field(t, y[:lanes], y[lanes:])
+            else:
+                out[0], out[1] = field(t, *y.tolist())
         except OverflowError:
-            f[:] = np.inf
-        return f.ravel()
+            out[:] = np.inf
 
     t_grid = np.linspace(t0, t1, n_samples)
     states = np.empty((n_samples,) + shape)
     states[0] = y0
+    # one row per sample, a view the dense output writes into
+    flat = states.reshape(n_samples, -1)
     filled = 1
     attempts = accepted = 0
     node_t, node_y = [], []
@@ -194,12 +201,16 @@ def integrate(
 
     with np.errstate(over="ignore", invalid="ignore"):
         t, y = t0, y0.ravel()
-        f = rhs(t, y)
+        f = np.empty(y.size)
+        rhs(t, y, f)
         if not np.all(np.isfinite(f)):
             raise NonFiniteState("field non-finite at initial state")
         h_abs = _initial_step(rhs, t, y, f, t1 - t0, rtol, atol)
-        # rows 0-12: the step's stages and the field at its end; 13-15: dense output
+        # rows 0-12: the step's stages and the field at its end; 13-15: dense
+        # output; KT[s] is the stages before s as columns; buf a stage's state
         K = np.empty((_dop853.N_STAGES_EXTENDED, y.size))
+        KT = [K[:s].T for s in range(_dop853.N_STAGES_EXTENDED)]
+        buf = np.empty(y.size)
         while True:
             if attempts >= tol.max_steps:
                 raise StepLimitExceeded("max_steps exceeded", partial("step_limit"))
@@ -213,18 +224,19 @@ def integrate(
                 t_new = min(t + h_abs, t1)
                 h = t_new - t
                 h_abs = h
-                y_new, f_new = _rk_step(rhs, t, y, f, h, K)
+                y_new = _rk_step(rhs, t, y, f, h, K, KT, buf)
                 attempts += 1
-                err = _error_norm(K, h, atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
+                err = _error_norm(KT, h, atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol)
                 if err < 1:
                     factor = 10 if err == 0 else min(10, 0.9 * err ** (-1 / 8))
                     h_abs *= min(1, factor) if rejected else factor
                     break
                 h_abs *= max(0.2, 0.9 * err ** (-1 / 8))
                 rejected = True
-            if not np.all(np.isfinite(y_new)):
+            if not np.isfinite(y_new).all():
                 raise NonFiniteState("state or field became non-finite", partial("non_finite"))
-            t_old, y_old, f_old, t, y, f = t, y, f, t_new, y_new, f_new
+            t_old, y_old, f_old = t, y, f
+            t, y, f = t_new, y_new, K[_dop853.N_STAGES].copy()
             accepted += 1
             node_t.append(t)
             node_y.append(y)
@@ -234,14 +246,16 @@ def integrate(
             else:
                 end = int(np.searchsorted(t_grid, t, side="right"))
             if end > filled:
-                ys = _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, t_grid[filled:end])
-                states[filled:end] = ys.reshape((-1,) + shape)
-                if stop is not None and stop(t_grid[end - 1], *states[end - 1]):
-                    first = next(i for i in range(filled, end)
-                                 if stop(t_grid[i], *states[i]))
-                    t, ys = t_grid[:first + 1], states[:first + 1]
-                    return Trajectory(t, ys, _energies(energy, t, ys), accepted,
-                                      attempts - accepted, "stopped")
+                _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf,
+                              t_grid[filled:end], flat[filled:end])
+                if stop is not None:
+                    fill = states[filled:end]
+                    hit = np.flatnonzero(stop(t_grid[filled:end], fill[:, 0], fill[:, 1]))
+                    if hit.size:
+                        n = filled + int(hit[0]) + 1
+                        t, ys = t_grid[:n], states[:n]
+                        return Trajectory(t, ys, _energies(energy, t, ys), accepted,
+                                          attempts - accepted, "stopped")
                 filled = end
             if t >= t1:
                 return Trajectory(t_grid, states, _energies(energy, t_grid, states),
@@ -254,7 +268,8 @@ def _initial_step(rhs, t0, y0, f0, interval, rtol, atol) -> float:
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = rhs(t0 + h0, y0 + h0 * f0)
+    f1 = np.empty(y0.size)
+    rhs(t0 + h0, y0 + h0 * f0, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -267,31 +282,44 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _rk_step(rhs, t, y, f, h, K):
+def _rk_step(rhs, t, y, f, h, K, KT, buf):
     """One DOP853 step of size h; fills K[:13] with the stages and f(t + h)."""
     K[0] = f
     for s in range(1, _dop853.N_STAGES):
-        K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A_ROWS[s]) * h)
-    y_new = y + h * np.dot(K[:_dop853.N_STAGES].T, _dop853.B)
-    K[_dop853.N_STAGES] = f_new = rhs(t + h, y_new)
-    return y_new, f_new
+        # the stage's state y + h * (the stages before s weighted by row s of A)
+        np.dot(KT[s], _A_ROWS[s], out=buf)
+        buf *= h
+        buf += y
+        rhs(t + _C[s] * h, buf, K[s])
+    y_new = np.dot(KT[_dop853.N_STAGES], _dop853.B)
+    y_new *= h
+    y_new += y
+    rhs(t + h, y_new, K[_dop853.N_STAGES])
+    return y_new
 
 
-def _error_norm(K, h, scale) -> float:
+def _error_norm(KT, h, scale) -> float:
     """The step's error relative to ``scale``: the 5th-order estimate, damped
     by the 3rd where the two disagree (Hairer's DOP853)."""
-    err5 = np.dot(K[:_dop853.N_STAGES + 1].T, _dop853.E5) / scale
-    err3 = np.dot(K[:_dop853.N_STAGES + 1].T, _dop853.E3) / scale
-    err5_2, err3_2 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+    stages = KT[_dop853.N_STAGES + 1]
+    err5 = np.dot(stages, _dop853.E5)
+    err5 /= scale
+    err3 = np.dot(stages, _dop853.E3)
+    err3 /= scale
+    # sqrt(e @ e) is np.linalg.norm(e) to the bit
+    err5_2, err3_2 = math.sqrt(err5 @ err5) ** 2, math.sqrt(err3 @ err3) ** 2
     if err5_2 == 0 and err3_2 == 0:
         return 0.0
-    return abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+    return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * scale.size)
 
 
-def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, ts) -> np.ndarray:
-    """The step's 7th-order interpolant at times ``ts``, one row per time."""
+def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf, ts, out) -> None:
+    """The step's 7th-order interpolant at times ``ts``, one row per time of ``out``."""
     for s in range(_dop853.N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
-        K[s] = rhs(t_old + _C[s] * h, y_old + np.dot(K[:s].T, _A_ROWS[s]) * h)
+        np.dot(KT[s], _A_ROWS[s], out=buf)
+        buf *= h
+        buf += y_old
+        rhs(t_old + _C[s] * h, buf, K[s])
     F = np.empty((_dop853.INTERPOLATOR_POWER, y.size))
     delta_y = y - y_old
     F[0] = delta_y
@@ -299,11 +327,11 @@ def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, ts) -> np.ndarray:
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(_dop853.D, K)
     x = ((ts - t_old) / h)[:, None]
-    out = np.zeros((len(ts), y.size))
+    out.fill(0.0)
     for i, coef in enumerate(F[::-1]):
         out += coef
         out *= x if i % 2 == 0 else 1 - x
-    return out + y_old
+    out += y_old
 
 
 def _energies(energy: EnergyFn | None, t: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -215,3 +215,13 @@ def test_serialized_rep_and_report_bytes_are_pinned(m, rep_sha, report_sha):
     rep = build_rep(m)
     assert hashlib.sha256(dumps(rep_to_json_dict(rep)).encode()).hexdigest() == rep_sha
     assert hashlib.sha256(dumps(verify_rep(rep)).encode()).hexdigest() == report_sha
+
+
+def test_rep_hashes_by_identity_and_its_arrays_are_read_only():
+    rep = build_rep(3)
+    assert hash(rep) == hash(rep) and rep == rep and rep != build_rep(3)
+    assert len({rep, rep}) == 1
+    for a in (rep.alphas, rep.chirality):
+        with pytest.raises(ValueError):
+            a[0] *= -1
+    assert np.array_equal(rep.alphas, build_rep(3).alphas)

@@ -158,6 +158,26 @@ def test_sign_changes_deadband_filters_noise():
     assert sign_changes(traj, "v", deadband=1e-9) == 0
 
 
+@given(st.lists(st.sampled_from([-2.0, -1e-12, 0.0, 1e-12, 3.0]), min_size=1, max_size=30),
+       st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_running_sign_count_is_sign_changes(vals, chunk):
+    # the side stop counts a fill at a time, carrying each lane's last sign;
+    # summed over the fills it must be sign_changes on the whole run
+    import diracorbits.dissipative as dis
+
+    v = np.array(vals)
+    traj = Trajectory(np.arange(len(v), dtype=float), np.stack([v, v], 1), np.zeros(len(v)))
+    want = sign_changes(traj, "v", 1e-9)
+    # two lanes, v and -v, which change sign together
+    last, count = np.zeros(2), 0
+    for i in range(0, len(v), chunk):
+        flips, last = dis._sign_flips(np.stack([v[i:i + chunk], -v[i:i + chunk]], 1),
+                                      last, 1e-9)
+        count = count + flips.sum(axis=0)
+    assert list(count) == [want, want]
+
+
 def test_sign_changes_rescaled_limit():
     # V0 = sqrt(2) cos(sqrt(2) t + pi/4) has zeros at pi/(4 sqrt 2) + j pi/sqrt 2
     # = 0.5554, 2.7768, 4.9982 : all three lie in [0, 5]
@@ -403,11 +423,34 @@ def test_trap_stop_keeps_sweep_outcomes(m):
     params = DissipativeParams(m)
     mus = list(np.geomspace(0.05, 20.0, 300))
     full = classify_sweep(params, mus)
-    trapped = dis._shoot_lanes(params, mus, 60.0, Thresholds(), trap=True)
+    # v cannot change sign 4001 times on 4001 samples, so side = 4001 leaves
+    # H <= 0 as the only rule
+    trapped = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=4001)
     assert max(o.t_end for o in trapped) < 60.0
     for a, b in zip(trapped, full):
         assert (a.mu, a.k, a.cls, a.first_nonpositive_H) == (
             b.mu, b.k, b.cls, b.first_nonpositive_H)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_side_stop_keeps_each_lanes_side(m):
+    # side=k ends the solve once every lane has H <= 0 or more than k sign
+    # changes: every lane must take the full sweep's side of k, and every
+    # lane trapped by then the full sweep's k, class and first H <= 0
+    import diracorbits.dissipative as dis
+
+    params = DissipativeParams(m)
+    mus = list(np.geomspace(0.05, 20.0, 300))
+    full = classify_sweep(params, mus)
+    for side in range(4):
+        outs = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=side)
+        ahead = [o for o in outs if o.first_nonpositive_H is None]
+        assert ahead and all(o.k > side for o in ahead)
+        for a, b in zip(outs, full):
+            assert a.mu == b.mu and (a.k > side) == (b.k > side), (side, a.mu)
+            if a.first_nonpositive_H is not None:
+                assert (a.k, a.cls, a.first_nonpositive_H) == (
+                    b.k, b.cls, b.first_nonpositive_H), (side, a.mu)
 
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_dissipative.json").read_text())

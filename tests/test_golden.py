@@ -57,9 +57,12 @@ def test_golden_boundary(case):
         assert _close(lo, old_lo) and _close(hi, old_hi), (lo, hi, case["bracket"])
 
 
-# sha256 of the outputs of the stacked and lone solves, pinned with numpy
-# 2.4 on x86-64: a change to how a solve stops or steps must leave every
-# bracket, sweep record and shoot (its samples too) the same doubles
+# sha256 of the outputs of the stacked and lone solves: a change to how a
+# solve stops or steps must leave every bracket, sweep record and shoot (its
+# samples too) the same doubles. Pinned with numpy 2.4 on an x86-64 CPU with
+# AVX-512, where numpy runs its own vector exp, log and power loops; a build
+# whose loops round differently gives other samples (the brackets, which
+# depend only on each lane's side, should hold anywhere)
 BRACKETS = [(3, 0, 0.6, 0.8), (3, 1, 1.5, 2.0), (3, 2, 2.3, 2.6), (4, 0, 1.2, 1.4),
             (4, 1, 2.5, 2.8), (4, 2, 4.0, 4.4), (5, 0, 2.6, 3.0), (5, 1, 5.0, 5.5)]
 BRACKETS_SHA256 = "d42bc34e4a011edda8c2442f6e25301dee646478b006f4a2a25837158c1dc187"
