@@ -177,11 +177,7 @@ def _sign_flips(v: np.ndarray, last: np.ndarray, deadband: float):
     """
     signs = np.empty((len(v) + 1, v.shape[1]))
     signs[0] = last
-    outside = np.abs(v) > deadband
-    if outside.all() and last.all():
-        np.sign(v, out=signs[1:])
-        return signs[1:] != signs[:-1], signs[-1]
-    np.copysign(outside, v, out=signs[1:])
+    np.copysign(np.abs(v) > deadband, v, out=signs[1:])
     at = np.where(signs != 0, np.arange(len(signs))[:, None], 0)
     np.maximum.accumulate(at, axis=0, out=at)
     signs = np.take_along_axis(signs, at, axis=0)
@@ -439,15 +435,17 @@ def boundary_bisect(
     and so the brackets, are those of solves run to the trap on every lane.
     A round with a lane that is neither keeps running to ``t_max``. Such
     lanes are expected near the boundary, where the decaying layer lives:
-    the lanes that are not class A in every round that ran to ``t_max``
-    are returned in the diagnostics. A lane above k that never traps, in a
-    round whose other lanes are all decided, ends that round early and is
-    not listed. The loop also ends when the bracket holds no double between
-    its ends, so a ``tol`` below the float spacing returns adjacent doubles.
+    the lanes that are not class A are returned in the diagnostics, from
+    every round but those whose stacked solve ended at that stop (a round
+    shot lane by lane after a failed stacked solve is listed too). So a
+    lane above k that never traps, in a round whose other lanes are all
+    decided, ends that round early and is not listed. The loop also ends
+    when the bracket holds no double between its ends, so a ``tol`` below
+    the float spacing returns adjacent doubles.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
-    lo, hi = _shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, side=k)
+    (lo, hi), _ = _shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, side=k)
     if lo.k > k or hi.k < k + 1:
         # a count above k is counted only up to the stop
         got = [f"k(mu_lo) >= {lo.k}"] if lo.k > k else []
@@ -462,8 +460,8 @@ def boundary_bisect(
         mus = [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
         if not mus:
             break
-        outs = _shoot_lanes(params, mus, t_max, thresholds, side=k)
-        if max(o.t_end for o in outs) == t_max:
+        outs, stopped = _shoot_lanes(params, mus, t_max, thresholds, side=k)
+        if not stopped:
             diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
         grid = [a, *mus, b]
         j = next((i for i, o in enumerate(outs, 1) if o.k > k), len(grid) - 1)
@@ -571,7 +569,7 @@ def classify_sweep(
     mus = [float(mu) for mu in mu_grid]
     if sorted(mus) != mus:
         raise ValueError("mu grid must be increasing")
-    return _shoot_lanes(params, mus, t_max, thresholds)
+    return _shoot_lanes(params, mus, t_max, thresholds)[0]
 
 
 def _shoot_lanes(
@@ -580,7 +578,7 @@ def _shoot_lanes(
     t_max: float,
     thresholds: Thresholds,
     side: int | None = None,
-) -> list[ShootingOutcome]:
+) -> tuple[list[ShootingOutcome], bool]:
     """Classify each mu as ``shoot`` does, all lanes in one stacked solve.
 
     The solve is ``_solve``'s: in (u, v) up to the first grid sample where
@@ -590,15 +588,19 @@ def _shoot_lanes(
     so a trapped lane's k, class and first nonpositive H are final there,
     and a lane above k keeps ``k > side``. If the stacked solve fails, in
     either coordinate system, each lane is shot on its own.
+
+    Returns the outcomes in ``mus`` order and whether the stacked solve
+    ended at that ``side`` stop, where an untrapped lane was cut short.
     """
     if any(not mu > 0 for mu in mus):
         raise ValueError("mu must be positive")
     if not mus:
-        return []
+        return [], False
     _check_work(params, max(mus), t_max, Tolerances())
     try:
         traj = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001, side,
                       thresholds.deadband)
     except IntegrationError:
-        return [replace(shoot(params, mu, t_max, thresholds), trajectory=None) for mu in mus]
-    return _outcomes(params, mus, traj, thresholds)
+        return [replace(shoot(params, mu, t_max, thresholds), trajectory=None)
+                for mu in mus], False
+    return _outcomes(params, mus, traj, thresholds), traj.terminal_reason == "stopped"

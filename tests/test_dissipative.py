@@ -414,6 +414,52 @@ def test_boundary_bisect_falls_back_to_single_shoots(monkeypatch):
     assert shoot(P3, lo, t_max=30.0).k == 0 and shoot(P3, hi, t_max=30.0).k >= 1
 
 
+def _one_lane_bisect(mu, t_max):
+    # the bracket [mu - 1e-6, mu + 1e-6] at tol 1.5e-6 takes one round of
+    # one lane, its midpoint mu; at m = 3 both ends lie on either side of
+    # the k = 0 boundary mu*(3) for the mu used below
+    return boundary_bisect(P3, 0, mu - 1e-6, mu + 1e-6, tol=1.5e-6, t_max=t_max)
+
+
+def test_boundary_bisect_lists_an_undecided_lane():
+    # 1e-12 below mu*(3) the orbit keeps k = 0 and traps only at t = 13.2,
+    # so the round runs to t_max and its lane is listed
+    mu = mu_star(3) - 1e-12
+    lo, hi, diag = _one_lane_bisect(mu, 12.0)
+    assert [(d["k"], d["t_end"]) for d in diag] == [(0, 12.0)]
+    assert diag[0]["class"] != "A" and diag[0]["mu"] == lo
+
+
+def test_boundary_bisect_lists_lanes_shot_one_by_one(monkeypatch):
+    # a failed stacked solve is shot lane by lane; a lone solve that fails
+    # too (here at t = 12, as the coupling's cosh overflows at t = 710.48)
+    # still classifies from its partial trajectory, and its lane is listed
+    import diracorbits.dissipative as dis
+    from diracorbits.numerics import NonFiniteState
+
+    def stacked_fails(field, y0, span, *args, **kwargs):
+        if np.ndim(y0) == 2:
+            raise StepLimitExceeded("stacked solve refused")
+        if span[1] <= 12.0:
+            return integrate(field, y0, span, *args, **kwargs)
+        raise NonFiniteState("cut", integrate(field, y0, (span[0], 12.0), *args, **kwargs))
+
+    monkeypatch.setattr(dis, "integrate", stacked_fails)
+    _, _, diag = _one_lane_bisect(mu_star(3) - 1e-12, 30.0)
+    assert [(d["k"], d["class"] != "A", d["t_end"]) for d in diag] == [(0, True, 12.0)]
+
+
+def test_boundary_bisect_leaves_out_a_lane_cut_short_above_k():
+    # 1e-9 above mu*(3) v changes sign at t = 10.7 and H <= 0 only at
+    # t = 43.2: the lane is decided above k = 0 long before t_max = 30 and
+    # ends the round there, so it is not listed, though a solve to t_max
+    # leaves it class undetermined
+    mu = mu_star(3) + 1e-9
+    out = shoot(P3, mu, t_max=30.0)
+    assert out.k == 1 and out.cls != "A"
+    assert _one_lane_bisect(mu, 30.0)[2] == []
+
+
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_trap_stop_keeps_sweep_outcomes(m):
     # H <= 0 on every lane ends the solve; k, class and the first H <= 0
@@ -425,7 +471,7 @@ def test_trap_stop_keeps_sweep_outcomes(m):
     full = classify_sweep(params, mus)
     # v cannot change sign 4001 times on 4001 samples, so side = 4001 leaves
     # H <= 0 as the only rule
-    trapped = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=4001)
+    trapped, _ = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=4001)
     assert max(o.t_end for o in trapped) < 60.0
     for a, b in zip(trapped, full):
         assert (a.mu, a.k, a.cls, a.first_nonpositive_H) == (
@@ -443,7 +489,7 @@ def test_side_stop_keeps_each_lanes_side(m):
     mus = list(np.geomspace(0.05, 20.0, 300))
     full = classify_sweep(params, mus)
     for side in range(4):
-        outs = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=side)
+        outs, _ = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=side)
         ahead = [o for o in outs if o.first_nonpositive_H is None]
         assert ahead and all(o.k > side for o in ahead)
         for a, b in zip(outs, full):

@@ -57,29 +57,35 @@ def test_golden_boundary(case):
         assert _close(lo, old_lo) and _close(hi, old_hi), (lo, hi, case["bracket"])
 
 
-# sha256 of the outputs of the stacked and lone solves: a change to how a
-# solve stops or steps must leave every bracket, sweep record and shoot (its
-# samples too) the same doubles. Pinned with numpy 2.4 on an x86-64 CPU with
-# AVX-512, where numpy runs its own vector exp, log and power loops; a build
-# whose loops round differently gives other samples (the brackets, which
-# depend only on each lane's side, should hold anywhere)
+# sha256 of what a change to how a solve stops or steps must keep to the
+# bit: the brackets, and each sweep lane's and shoot's mu, k, class, t_end
+# and first nonpositive-H time. These depend only on each lane's side of
+# k and of H = 0 at the grid times, so they should hold on any CPU; H_tail,
+# the envelope and the samples come from numpy's exp, log and power loops,
+# which round differently from one build to the next, and are left to the
+# tolerances above
 BRACKETS = [(3, 0, 0.6, 0.8), (3, 1, 1.5, 2.0), (3, 2, 2.3, 2.6), (4, 0, 1.2, 1.4),
             (4, 1, 2.5, 2.8), (4, 2, 4.0, 4.4), (5, 0, 2.6, 3.0), (5, 1, 5.0, 5.5)]
 BRACKETS_SHA256 = "d42bc34e4a011edda8c2442f6e25301dee646478b006f4a2a25837158c1dc187"
+SIDE_KEYS = ("mu", "k", "class", "t_end", "first_nonpositive_H")
 SWEEP_SHA256 = {
-    3: "2d9ba9cf7cb58cc7d4e5f814039049c2cf276b548a206bc18c0ce745c20a8a96",
-    4: "99e6023c521ed13829bdcdd22ff19d21d91ec0003f32608d8d9e1c60a77fe8a7",
-    5: "a2b305e102e3a63671aab2e4d98a1d19a83227d5314a15f2742f9d51f9486c41",
+    3: "ac577f2561e04fd6f7261e9ef0671d34de0494e99e709a13fde4f90a3ffe224f",
+    4: "ee9c2039c2a15f607a4131c874ab601d7063f34ef812b0961c25cfa3d3f4711a",
+    5: "f067d893737311c12dfe0afdaf72a3089af84b132808fcaf723c8974aa806142",
 }
 # class A with k = 0, 0, 2, 0, 1; an I-candidate on the k = 0 boundary; undetermined
 SHOOTS = [(3, 0.3, 60.0), (3, 0.6, 60.0), (3, 2.0, 60.0), (4, 1.0, 60.0), (5, 5.0, 60.0),
           (4, 1.299038105676658, 8.5), (3, 0.7071067812, 0.5)]
-SHOOTS_SHA256 = ("11b28e9054ea869edbc2415105a42c456b49dee3aac9299d615d2721b975ad7a",
-                 "68df2ab3bedb0402e2f0f7b0f9c4cd4d3f252f464bd15378cb547ce19b263bd1")
+SHOOTS_SHA256 = "7da2eaae3b1368cb5511b96e4aa677c3c460bd903abdd79a7d43df3f5aaadcdc"
 
 
 def _sha256(obj) -> str:
     return hashlib.sha256(dumps(obj).encode()).hexdigest()
+
+
+def _sides(out) -> list:
+    record = out.to_json_dict()
+    return [record[key] for key in SIDE_KEYS]
 
 
 def test_bracket_bytes_are_pinned():
@@ -92,14 +98,9 @@ def test_bracket_bytes_are_pinned():
 def test_sweep_record_bytes_are_pinned(sweep):
     outs = classify_sweep(DissipativeParams(sweep["m"]), [lane["mu"] for lane in sweep["lanes"]],
                           t_max=GOLDEN["t_max"])
-    assert _sha256([o.to_json_dict() for o in outs]) == SWEEP_SHA256[sweep["m"]]
+    assert _sha256([_sides(o) for o in outs]) == SWEEP_SHA256[sweep["m"]]
 
 
 def test_shoot_bytes_are_pinned():
-    records, samples = [], hashlib.sha256()
-    for m, mu, t_max in SHOOTS:
-        out = shoot(DissipativeParams(m), mu, t_max=t_max)
-        records.append(out.to_json_dict())
-        for a in (out.trajectory.t, out.trajectory.states, out.trajectory.energy):
-            samples.update(a.tobytes())
-    assert (_sha256(records), samples.hexdigest()) == SHOOTS_SHA256
+    records = [_sides(shoot(DissipativeParams(m), mu, t_max=t_max)) for m, mu, t_max in SHOOTS]
+    assert _sha256(records) == SHOOTS_SHA256, records
