@@ -405,11 +405,12 @@ def solutions_count(
     from a floor up to K0. At the floor the asymptote
     ln(2 m^(m-1)/K)/(m-1), which eta exceeds, is T + 1; should eta there
     still fall short of T (the floor clamped at SCAN_X_MIN), the count
-    would miss roots, so it raises NonConvergence instead. Every sign
-    change is root-solved in x = ln K, where eta is close to linear as
-    K -> 0, by numerics.bracketed_roots from the scan's own values, all
-    roots together, so multiple roots per k (were eta non-monotone) are
-    all reported, flagged in the diagnostics.
+    would miss roots, so it raises NonConvergence instead. It raises
+    NonConvergence naming T and the floor, too, when the floor is past the
+    quadrature's reach. Every sign change is root-solved in x = ln K, where
+    eta is close to linear as K -> 0, by numerics.bracketed_roots from the
+    scan's own values, all roots together, so multiple roots per k (were
+    eta non-monotone) are all reported, flagged in the diagnostics.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -419,10 +420,15 @@ def solutions_count(
     # eta(K) > ln(2 m^(m-1)/K)/(m-1) at every K measured, the gap falling
     # to 0 as K -> 0 (docs/decisions.md), so eta > T + 1 at this floor.
     # Deeper lanes only cost more quadrature nodes.
-    x_lo = min(math.log(1e-2 * kmax), math.log(2.0) + (m - 1) * (math.log(m) - T - 1.0))
-    x_lo = max(x_lo, SCAN_X_MIN)
+    x_want = min(math.log(1e-2 * kmax), math.log(2.0) + (m - 1) * (math.log(m) - T - 1.0))
+    x_lo = max(x_want, SCAN_X_MIN)
     x = np.linspace(x_lo, x_hi, SCAN_POINTS)
-    eta = _half_periods(params, np.exp(x))
+    try:
+        eta = _half_periods(params, np.exp(x))
+    except NonConvergence as exc:
+        clamp = f", clamped from ln K = {x_want:.6g}" if x_want < x_lo else ""
+        raise NonConvergence(f"eta at the scan floor K = {math.exp(x_lo):.6g}{clamp}, "
+                             f"set by T = {T:.6g}, is past the quadrature's reach: {exc}") from exc
     eta_min = float(eta.min())
     if float(eta.max()) < T:
         raise NonConvergence(f"eta = {eta[0]:.6g} at the scan floor K = {math.exp(x_lo):.6g} "

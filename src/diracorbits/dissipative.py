@@ -270,6 +270,7 @@ def _solve(
     n_samples: int,
     side: int | None = None,
     deadband: float = Thresholds().deadband,
+    window_only: bool = False,
 ) -> Trajectory:
     """Solve from y0 (one lane, or a (2, lanes) stack) at t = 0 to ``t_max``.
 
@@ -279,7 +280,14 @@ def _solve(
     "The trap stop"). Phase 2 continues from that sample in ``polar_field``
     on the rest of the grid, and its samples are mapped back to (u, v),
     with H formed from (t, rho, phi). A lane that never traps keeps phase 1
-    to ``t_max``. An IntegrationError in phase 2 carries both phases joined.
+    to ``t_max``. An IntegrationError in phase 2 carries both phases joined:
+    phase 2's formed samples and step ends.
+
+    With ``window_only`` phase 2 forms only the grid samples of the last
+    TAIL_WINDOW time units, all that ``_outcomes`` reads of a trapped tail
+    (docs/decisions.md, "A sweep forms only the tail it reads"): the
+    trajectory is phase 1 followed by those samples, and its steps and
+    formed samples are the doubles of the whole tail's.
 
     With ``side=k`` phase 1 ends at the first grid sample where every lane
     has H <= 0 or more than k sign changes of v outside ``deadband`` so far
@@ -296,13 +304,17 @@ def _solve(
     u, v = head.states[-1]
     start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
     field, span = polar_field(params), (float(head.t[-1]), t_max)
+    # the polar grid is linspace(t_stop, t_max), the tail of linspace(0,
+    # t_max) but for rounding, so the samples keep the one grid: polar
+    # sample j is sample n - 1 + j of it, and the window's first is skip + 1
+    grid, n = np.linspace(0.0, t_max, n_samples), len(head)
+    skip = max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)) - n, 0) if window_only else 0
     try:
-        # the polar grid is linspace(t_stop, t_max), the tail of
-        # linspace(0, t_max) but for rounding, so the samples keep the one
-        # grid; the polar trajectory is passed unbound, for _join to free
+        # the polar trajectory is passed unbound, for _join to free
         return _join(params, head, integrate(field, start, span, tol=tol,
-                                             n_samples=n_samples - len(head) + 1),
-                     np.linspace(0.0, t_max, n_samples))
+                                             n_samples=n_samples - n + 1,
+                                             first_sample=skip + 1),
+                     np.concatenate([head.t, grid[n + skip:]]))
     except IntegrationError as exc:
         tail = exc.trajectory
         if tail is not None:
@@ -314,6 +326,9 @@ def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory,
           t: np.ndarray) -> Trajectory:
     """``head`` followed by ``polar`` after its first sample, in (u, v), at times ``t``.
 
+    ``polar`` may hold only some samples of its grid (the tail window of a
+    sweep, or the formed samples and step ends of a failed solve); only
+    those are mapped, and ``t`` holds their times after ``head.t``.
     H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with
     N the coupling of ``polar_field``: it never forms z^(m/(m-1)), which
     overflows from t ~ 700 on. H and the mapped samples are written into
@@ -557,9 +572,11 @@ def classify_sweep(
     All lanes are integrated together as one stacked system, so the step
     sizes are shared and each lane's floats differ slightly from a lone
     ``shoot``. Once every lane has H <= 0 the stack goes on to ``t_max`` in
-    ``polar_field``, as ``shoot`` does; a grid with a lane that never traps
-    runs in (u, v) throughout. If the stacked solve fails, each lane is shot
-    on its own.
+    ``polar_field``, as ``shoot`` does, but forms only the samples of the
+    last TAIL_WINDOW time units there, all that the classification reads
+    of a trapped tail; the outcomes are the doubles of a solve that forms
+    them all. A grid with a lane that never traps runs in (u, v)
+    throughout. If the stacked solve fails, each lane is shot on its own.
     ``jobs`` is deprecated and ignored: the stacked solve is already
     faster than a process pool, and its output does not depend on it.
     """
@@ -599,7 +616,7 @@ def _shoot_lanes(
     _check_work(params, max(mus), t_max, Tolerances())
     try:
         traj = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001, side,
-                      thresholds.deadband)
+                      thresholds.deadband, window_only=True)
     except IntegrationError:
         return [replace(shoot(params, mu, t_max, thresholds), trajectory=None)
                 for mu in mus], False

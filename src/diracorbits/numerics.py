@@ -119,6 +119,7 @@ def integrate(
     n_samples: int = 1001,
     energy: EnergyFn | None = None,
     stop: StopFn | None = None,
+    first_sample: int = 1,
 ) -> Trajectory:
     """Integrate a planar field with DOP853 (Dormand-Prince 8(5,3)).
 
@@ -148,10 +149,17 @@ def integrate(
     solve ends at the first true one: the trajectory is cut at that sample
     and carries ``terminal_reason="stopped"``.
 
+    ``first_sample`` names the first grid sample to form after the
+    initial one; the default, 1, forms them all. The trajectory holds the
+    initial sample and the grid samples from that index on, and ``stop``
+    sees only those; a step whose samples all lie before it builds no dense
+    output. Stepping never reads the dense output, so the steps and every
+    formed sample are the doubles of a run that forms them all.
+
     Raises StepLimitExceeded once ``tol.max_steps`` step attempts are spent
     (checked between steps), and NonFiniteState when the state turns
     non-finite or the step falls below 10 float spacings of t (as at a
-    finite-time blow-up); both carry the grid samples reached so far merged
+    finite-time blow-up); both carry the grid samples formed so far merged
     with the ends of the accepted steps.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -162,6 +170,8 @@ def integrate(
         raise ValueError("t_span must be a nonempty forward interval")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if not 1 <= first_sample < n_samples:
+        raise ValueError("first_sample must lie in [1, n_samples)")
     if y0.ndim not in (1, 2) or y0.shape[0] != 2:
         raise ValueError("y0 must have shape (2,) or (2, n)")
     shape = y0.shape
@@ -181,19 +191,23 @@ def integrate(
             out[:] = np.inf
 
     t_grid = np.linspace(t0, t1, n_samples)
-    states = np.empty((n_samples,) + shape)
+    # grid samples 1..skip are not formed; grid sample i > skip is row i - skip
+    skip = first_sample - 1
+    t_out = np.concatenate([t_grid[:1], t_grid[skip + 1:]]) if skip else t_grid
+    states = np.empty((len(t_out),) + shape)
     states[0] = y0
     # one row per sample, a view the dense output writes into
-    flat = states.reshape(n_samples, -1)
-    filled = 1
+    flat = states.reshape(len(t_out), -1)
+    filled = 1  # the next grid sample a step reaches
     attempts = accepted = 0
     node_t, node_y = [], []
 
     def partial(reason: str) -> Trajectory:
-        # grid samples so far merged with the accepted step ends, so a
+        # the formed grid samples merged with the accepted step ends, so a
         # coarse grid (a huge t_span) still shows the path to the failure
-        t = np.concatenate([t_grid[:filled], node_t])
-        ys = np.concatenate([states[:filled], np.reshape(node_y, (-1,) + shape)])
+        formed = max(filled - skip, 1)
+        t = np.concatenate([t_out[:formed], node_t])
+        ys = np.concatenate([states[:formed], np.reshape(node_y, (-1,) + shape)])
         t, first = np.unique(t, return_index=True)
         ys = ys[first]
         return Trajectory(t, ys, _energies(energy, t, ys), accepted,
@@ -245,20 +259,22 @@ def integrate(
                 states[-1] = y.reshape(shape)
             else:
                 end = int(np.searchsorted(t_grid, t, side="right"))
-            if end > filled:
+            # the rows of this step's samples that are formed
+            lo, hi = max(filled, skip + 1) - skip, end - skip
+            if hi > lo:
                 _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf,
-                              t_grid[filled:end], flat[filled:end])
+                              t_out[lo:hi], flat[lo:hi])
                 if stop is not None:
-                    fill = states[filled:end]
-                    hit = np.flatnonzero(stop(t_grid[filled:end], fill[:, 0], fill[:, 1]))
+                    fill = states[lo:hi]
+                    hit = np.flatnonzero(stop(t_out[lo:hi], fill[:, 0], fill[:, 1]))
                     if hit.size:
-                        n = filled + int(hit[0]) + 1
-                        t, ys = t_grid[:n], states[:n]
+                        n = lo + int(hit[0]) + 1
+                        t, ys = t_out[:n], states[:n]
                         return Trajectory(t, ys, _energies(energy, t, ys), accepted,
                                           attempts - accepted, "stopped")
-                filled = end
+            filled = end
             if t >= t1:
-                return Trajectory(t_grid, states, _energies(energy, t_grid, states),
+                return Trajectory(t_out, states, _energies(energy, t_out, states),
                                   accepted, attempts - accepted)
 
 
@@ -327,10 +343,11 @@ def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf, ts, out) -> Non
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(_dop853.D, K)
     x = ((ts - t_old) / h)[:, None]
+    x1 = 1 - x
     out.fill(0.0)
     for i, coef in enumerate(F[::-1]):
         out += coef
-        out *= x if i % 2 == 0 else 1 - x
+        out *= x if i % 2 == 0 else x1
     out += y_old
 
 

@@ -418,9 +418,18 @@ def test_solutions_count_where_the_scan_reaches_tiny_k(m, T):
 
 def test_solutions_count_past_the_quadrature_reach_raises():
     # the k = 1 root of (3, 30) lies near 1e-25 K0, where the Chebyshev
-    # rule cannot resolve the saddle passage: a typed error, not a count
-    with pytest.raises(NonConvergence):
+    # rule cannot resolve the saddle passage: a typed error, not a count,
+    # that names T and the scan floor
+    with pytest.raises(NonConvergence, match=r"scan floor K = 2\.13312e-26, set by T = 30,"):
         solutions_count(M3, 30.0)
+
+
+def test_count_past_the_quadrature_reach_names_the_clamped_floor():
+    # T = 1e6 asks for a floor far below SCAN_X_MIN; the message names the
+    # clamp as well as T
+    with pytest.raises(NonConvergence, match=r"scan floor K = 1e-280, clamped from "
+                                             r"ln K = -2e\+06, set by T = 1e\+06,"):
+        solutions_count(M3, 1e6)
 
 
 @pytest.mark.parametrize("m,T", [(3, 10.0), (2, 12.0), (4, 6.0)])

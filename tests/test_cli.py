@@ -88,6 +88,8 @@ def test_bad_value_exit_1():
     ["autonomous", "period", "--m", "1000"],
     # the k = 1 root lies past the quadrature's reach: NonConvergence
     ["autonomous", "bifurcation", "--m", "3", "--T", "50"],
+    # a T so large that the scan floor is clamped at K = 1e-280
+    ["autonomous", "bifurcation", "--m", "3", "--T", "1e6"],
 ])
 def test_library_errors_exit_1_without_traceback(argv):
     env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))

@@ -158,22 +158,26 @@ def test_sign_changes_deadband_filters_noise():
     assert sign_changes(traj, "v", deadband=1e-9) == 0
 
 
-@given(st.lists(st.sampled_from([-2.0, -1e-12, 0.0, 1e-12, 3.0]), min_size=1, max_size=30),
-       st.integers(1, 30))
-@settings(max_examples=200, deadline=None)
-def test_running_sign_count_is_sign_changes(vals, chunk):
+_OUTSIDE = st.sampled_from([-2.0, 3.0])
+_ANY = st.sampled_from([-2.0, -1e-12, 0.0, 1e-12, 3.0])
+
+
+@given(st.lists(st.one_of(st.lists(_OUTSIDE, min_size=1, max_size=12),
+                          st.lists(_ANY, min_size=1, max_size=12)), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_running_sign_count_is_sign_changes(fills):
     # the side stop counts a fill at a time, carrying each lane's last sign;
-    # summed over the fills it must be sign_changes on the whole run
+    # summed over the fills it must be sign_changes on the whole run, for
+    # fills with no sample in the deadband and fills with some
     import diracorbits.dissipative as dis
 
-    v = np.array(vals)
+    v = np.concatenate(fills)
     traj = Trajectory(np.arange(len(v), dtype=float), np.stack([v, v], 1), np.zeros(len(v)))
     want = sign_changes(traj, "v", 1e-9)
     # two lanes, v and -v, which change sign together
     last, count = np.zeros(2), 0
-    for i in range(0, len(v), chunk):
-        flips, last = dis._sign_flips(np.stack([v[i:i + chunk], -v[i:i + chunk]], 1),
-                                      last, 1e-9)
+    for fill in map(np.array, fills):
+        flips, last = dis._sign_flips(np.stack([fill, -fill], 1), last, 1e-9)
         count = count + flips.sum(axis=0)
     assert list(count) == [want, want]
 
@@ -500,6 +504,27 @@ def test_side_stop_keeps_each_lanes_side(m):
 
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_dissipative.json").read_text())
+
+
+@pytest.mark.parametrize("m, t_max", [(3, 60.0), (4, 60.0), (5, 60.0), (3, 10.0)])
+def test_sweep_forms_only_the_tail_window_with_the_whole_tails_outcomes(m, t_max):
+    # classify_sweep's phase 2 forms only the last TAIL_WINDOW time units;
+    # its outcomes must be _outcomes of the whole-tail solve, every double.
+    # At t_max = 10 the stack traps after t_max - TAIL_WINDOW, so the window
+    # reaches into phase 1 and every phase-2 sample is formed
+    import diracorbits.dissipative as dis
+
+    params = DissipativeParams(m)
+    mus = next(s for s in GOLDEN["sweeps"] if s["m"] == m)["lanes"]
+    mus = [lane["mu"] for lane in mus]
+    y0 = np.array([mus, mus])
+    whole = dis._solve(params, y0, t_max, Tolerances(), 4001)
+    window = dis._solve(params, y0, t_max, Tolerances(), 4001, window_only=True)
+    assert whole.terminal_reason == window.terminal_reason == "completed"
+    assert len(window) == len(whole) if t_max == 10.0 else len(window) < len(whole) / 2
+    want = dis._outcomes(params, mus, whole, Thresholds())
+    assert classify_sweep(params, mus, t_max=t_max) == want
+    assert dis._outcomes(params, mus, window, Thresholds()) == want
 
 
 def _dop853_tails(m, mus, t_max, n_samples):

@@ -145,6 +145,77 @@ def test_stop_that_never_fires_is_bit_identical():
     assert never.terminal_reason == "completed"
 
 
+def _counted(field):
+    """``field`` and a list whose length is the number of calls made of it."""
+    calls = []
+
+    def counted(t, u, v):
+        calls.append(t)
+        return field(t, u, v)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("first", [1, 2, 37, 400, 999, 1000])
+def test_first_sample_forms_the_full_runs_rows_from_it(first):
+    # stepping never reads the dense output: the steps and every formed
+    # sample are the doubles of the run that forms them all
+    def en(t, u, v):
+        return u * u - v * v
+
+    args = ((lambda t, u, v: (v, math.cosh(t) ** -0.5 * u)),
+            np.array([[1.0, 0.3], [0.0, -0.2]]), (0.0, 4.0))
+    full = integrate(*args, energy=en)
+    part = integrate(*args, energy=en, first_sample=first)
+    rows = [0, *range(first, len(full))]
+    for name in ("t", "states", "energy"):
+        assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
+    assert (part.steps_accepted, part.steps_rejected, part.terminal_reason) == (
+        full.steps_accepted, full.steps_rejected, full.terminal_reason)
+
+
+@pytest.mark.parametrize("first", [2, 150, 600, 1000])
+def test_first_sample_saves_the_dense_output_of_each_skipped_step(first):
+    # a step whose samples all lie before the first one formed skips its 3
+    # dense-output stages; the fills of the full run tell which steps those are
+    fills = []
+
+    def record(t, u, v):
+        fills.append(t[-1])
+        return np.zeros(len(t), dtype=bool)
+
+    field, full_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
+    t_grid = integrate(field, (1.0, 0.0), (0.0, 30.0), stop=record).t
+    field, part_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
+    integrate(field, (1.0, 0.0), (0.0, 30.0), first_sample=first)
+    skipped = sum(1 for t in fills if t < t_grid[first])
+    assert skipped > 0
+    assert len(full_calls) - len(part_calls) == 3 * skipped
+
+
+def test_blowup_before_the_first_sample_keeps_only_formed_states():
+    # u' = u^2 from u = 1 blows up at t = 1; the first sample to form is at
+    # t = 1.5, so the partial trajectory holds the initial state and the
+    # step ends, each a state of the full run at the same time
+    args = (lambda t, u, v: (u * u, 0.0), (1.0, 0.0), (0.0, 2.0))
+    with pytest.raises(NonFiniteState) as full:
+        integrate(*args, n_samples=201)
+    with pytest.raises(NonFiniteState) as part:
+        integrate(*args, n_samples=201, first_sample=150)
+    full, part = full.value.trajectory, part.value.trajectory
+    assert 1 < len(part) < len(full)
+    assert np.all(np.isfinite(part.states)) and part.t[-1] < 1.5
+    at = np.searchsorted(full.t, part.t)
+    assert np.array_equal(full.t[at], part.t)
+    assert np.array_equal(full.states[at], part.states)
+
+
+def test_first_sample_out_of_range_rejected():
+    for first in (0, 1001):
+        with pytest.raises(ValueError):
+            integrate(lambda t, u, v: (v, -u), (1.0, 0.0), (0.0, 1.0), first_sample=first)
+
+
 # ---------------------------------------------------------------------------
 # parity with scipy's DOP853, stepped one step at a time as integrate steps
 
