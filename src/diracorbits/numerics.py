@@ -200,14 +200,16 @@ def integrate(
     flat = states.reshape(len(t_out), -1)
     filled = 1  # the next grid sample a step reaches
     attempts = accepted = 0
-    node_t, node_y = [], []
+    # row i: t and the flat state at the end of accepted step i + 1, kept
+    # for the failure path; the array doubles in place when full
+    ends = np.empty((64, 1 + y0.size))
 
     def partial(reason: str) -> Trajectory:
         # the formed grid samples merged with the accepted step ends, so a
         # coarse grid (a huge t_span) still shows the path to the failure
         formed = max(filled - skip, 1)
-        t = np.concatenate([t_out[:formed], node_t])
-        ys = np.concatenate([states[:formed], np.reshape(node_y, (-1,) + shape)])
+        t = np.concatenate([t_out[:formed], ends[:accepted, 0]])
+        ys = np.concatenate([states[:formed], ends[:accepted, 1:].reshape((-1,) + shape)])
         t, first = np.unique(t, return_index=True)
         ys = ys[first]
         return Trajectory(t, ys, _energies(energy, t, ys), accepted,
@@ -251,9 +253,12 @@ def integrate(
                 raise NonFiniteState("state or field became non-finite", partial("non_finite"))
             t_old, y_old, f_old = t, y, f
             t, y, f = t_new, y_new, K[_dop853.N_STAGES].copy()
+            if accepted == len(ends):
+                # no view of ends is alive between steps
+                ends.resize((2 * accepted, ends.shape[1]), refcheck=False)
+            ends[accepted, 0] = t
+            ends[accepted, 1:] = y
             accepted += 1
-            node_t.append(t)
-            node_y.append(y)
             if t >= t1:
                 end = n_samples - 1
                 states[-1] = y.reshape(shape)

@@ -32,6 +32,7 @@ from diracorbits.autonomous import (
     AutonomousParams,
     half_period,
     homoclinic,
+    k0,
     periodic_orbit_trajectory,
 )
 from diracorbits.clifford import build_rep
@@ -371,14 +372,29 @@ def test_residual_equals_the_inline_stencil_bit_for_bit():
     auto = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=2001))
     out = shoot(DissipativeParams(4), 0.3, t_max=12.0)
     diss = profile_from_phase("dissipative", 4, out.trajectory)
-    for kind, m, prof, points in (
+    cases = [
         ("autonomous", 3, auto, [[0.5, 0.5, 0.5], [-0.7, 0.2, 1.0]]),
         ("dissipative", 4, diss, [[0.3, 0.1, -0.2], [0.0, 0.9, 0.0]]),
-    ):
+    ]
+    # orbit profiles sampled as in the benchmark, on and off the axes
+    for m in range(2, 7):
+        params = AutonomousParams(m)
+        traj = periodic_orbit_trajectory(params, 0.3 * k0(params), (-3.0, 3.0), 8001)
+        axis = np.eye(m)
+        mixed = np.resize([0.5, -0.3, 0.2, -0.4], m)
+        cases.append(("autonomous", m, profile_from_phase("autonomous", m, traj),
+                      [0.9 * axis[0], -1.2 * axis[-1], mixed, -mixed[::-1]]))
+    for m, mu in ((3, 0.4), (5, 0.3)):
+        out = shoot(DissipativeParams(m), mu, t_max=12.0)
+        axis = np.eye(m - 1)
+        mixed = np.resize([0.3, -0.2, 0.1], m - 1)
+        cases.append(("dissipative", m, profile_from_phase("dissipative", m, out.trajectory),
+                      [0.9 * axis[-1], mixed, -0.5 * mixed[::-1]]))
+    for kind, m, prof, points in cases:
         rep = build_rep(prof.ambient_dim)
-        for h in (1e-3, 1e-4):
+        for h in (1e-2, 2.5e-3, 1e-3, 1e-4):
             assert (pde_residual(kind, m, prof, rep, points, h)
-                    == _residual_loop(kind, m, prof, rep, points, h))
+                    == _residual_loop(kind, m, prof, rep, points, h)), (kind, m, h)
 
 
 def test_profile_spline_is_built_once():
@@ -397,8 +413,22 @@ def test_profile_spline_is_built_once():
 def test_residual_point_out_of_range():
     rep = build_rep(3)
     prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=201))
+    valid = [0.9, 0.0, 0.0]
+    for bad in ([1e5, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.5, math.nan, 0.5],
+                [math.inf, 0.0, 0.0], [-math.inf, 0.0, 0.0]):
+        for points in ([bad], [valid, bad]):
+            with pytest.raises(PointOutOfRange):
+                pde_residual("autonomous", 3, prof, rep, points, h=1e-4)
     with pytest.raises(PointOutOfRange):
-        pde_residual("autonomous", 3, prof, rep, [[1e5, 0.0, 0.0]], h=1e-4)
+        pde_residual("autonomous", 3, prof, rep, [valid], h=math.nan)
+
+
+def test_residual_rejects_empty_or_misshapen_points():
+    rep = build_rep(3)
+    prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=201))
+    for points in ([], np.empty((0, 3)), [[0.9, 0.0]], [0.9, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="points must be"):
+            pde_residual("autonomous", 3, prof, rep, points, h=1e-4)
 
 
 def test_residual_gamma0_independent():

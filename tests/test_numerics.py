@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -94,6 +95,27 @@ def test_blowup_ends_at_closed_form_time(p, u0):
     traj = exc.value.trajectory
     assert traj.terminal_reason == "non_finite"
     assert abs(traj.t[-1] - t_star) <= 1e-3 * t_star
+
+
+def test_step_ends_are_kept_in_under_64_bytes_each():
+    # the failure path's step ends live in one array that doubles when full,
+    # not in one array per step; a failure past several doublings carries
+    # every end, each with its own time
+    args = (lambda t, u, v: (v, -u), (1.0, 0.0), (0.0, 1e3))
+    tracemalloc.start()
+    try:
+        traj = integrate(*args, n_samples=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * traj.steps_accepted
+    with pytest.raises(StepLimitExceeded) as exc:
+        integrate(*args, n_samples=11, tol=Tolerances(max_steps=1000))
+    part = exc.value.trajectory
+    formed = int(part.t[-1] // 100) + 1
+    assert part.steps_accepted > 4 * 64 and len(part) == formed + part.steps_accepted
+    assert np.allclose(part.states[:, 0], np.cos(part.t), atol=1e-6)
+    assert np.allclose(part.states[:, 1], -np.sin(part.t), atol=1e-6)
 
 
 @pytest.mark.parametrize(
