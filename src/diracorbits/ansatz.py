@@ -244,7 +244,9 @@ def pde_residual(
     dissipative kind (m is the system parameter in both exponents).
     D_fd is sum_k alpha_k d/dx_k by central differences of step h. The
     profile is interpolated by its cubic Hermite in ln r
-    (``SpinorProfile.at``). ``points`` is a nonempty (n, dim) array-like.
+    (``SpinorProfile.at``). ``points`` is a nonempty (n, dim) array-like
+    and h a finite positive step. A NaN residual at any point makes the
+    result NaN.
 
     All stencil points are evaluated in one array pass. Each value is the
     double that a point-by-point evaluation gives: the elementwise steps
@@ -258,6 +260,8 @@ def pde_residual(
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[1] != dim or x.shape[0] == 0:
         raise ValueError(f"points must be a nonempty (n, {dim}) array, got shape {x.shape}")
+    if h <= 0 or h == math.inf:  # a NaN step fails the range test below
+        raise ValueError(f"h must be a finite positive step, got {h}")
     r_lo, r_hi = float(profile.r[0]), float(profile.r[-1])
     # stencil rows: x, then x + h e_k and x - h e_k for each k, point-major
     offsets = np.zeros((2 * dim + 1, dim))
@@ -284,12 +288,13 @@ def pde_residual(
     dpsi = np.zeros((len(x), rep.dim), dtype=np.complex128)
     for k in range(dim):
         dpsi += ((psi[:, 2 * k + 1] - psi[:, 2 * k + 2]) / (2 * h)) @ rep.alphas[k].T
-    worst = 0.0
+    residuals = []
     for rc, p, d in zip(centre.tolist(), psi[:, 0], dpsi):
         hnl = 1.0 if kind == "autonomous" else (2 / (1 + rc * rc)) ** (1 / (m - 1))
         rhs = hnl * float(np.linalg.norm(p)) ** (2 / (m - 1)) * p
-        worst = max(worst, float(np.linalg.norm(d - rhs)))
-    return worst
+        residuals.append(float(np.linalg.norm(d - rhs)))
+    # max() alone would drop a NaN that is not first; a NaN makes the sum NaN
+    return math.nan if math.isnan(sum(residuals)) else max(residuals)
 
 
 def decay_fit(

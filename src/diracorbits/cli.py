@@ -58,43 +58,17 @@ def _finite_float(text) -> float:
     return x
 
 
-def _finite_floats(text) -> list[float]:
-    """argparse type of the comma-separated lists --grid and --h."""
-    return [_finite_float(s) for s in str(text).split(",") if s.strip()]
+def _finite_floats(text: str) -> list[float]:
+    """argparse type of the comma-separated lists --grid and --h: one entry or more."""
+    values = [_finite_float(s) for s in text.split(",") if s.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
-def _config_int(value) -> int:
-    """A --config value of an integer option, read as its flag reads its text."""
-    try:
-        return int(str(value))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-
-
-def _apply_config(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset options from --config JSON, then from defaults.
-
-    Config values pass the checks their flags get: integer options are read
-    as their text, float options must be finite, and the --grid and --h
-    lists are parsed entry by entry.
-    """
-    config = {}
-    if getattr(args, "config", None):
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(config, dict):
-            raise UsageError("--config must contain a JSON object")
-    for key, default in defaults.items():
-        if getattr(args, key, None) is not None:
-            continue
-        value = config.get(key, default)
-        if key in config and key in ("grid", "h"):
-            value = _finite_floats(value)
-        elif key in config and key in ("m", "k", "mu_count", "n_samples", "jobs"):
-            value = _config_int(value)
-        elif key in config and (isinstance(value, float) or isinstance(default, float)):
-            value = _finite_float(value)
-        setattr(args, key, value)
-    return args
+def _flag_text(value) -> str:
+    """A --config value as its flag's text: a list's entries joined with commas."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _emit(args, payload) -> int:
@@ -119,9 +93,8 @@ def _emit_rows(args, header, rows) -> int:
 
 
 def cmd_clifford(args) -> int:
-    _apply_config(args, {"m": 3})
     try:
-        rep = build_rep(int(args.m))
+        rep = build_rep(args.m)
     except DimensionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -163,22 +136,21 @@ def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
 
 
 def _autonomous_period(args, params: aut.AutonomousParams) -> int:
-    K = float(args.K)
-    s0, s1 = aut.fk_zeros(params, K)
-    eta = aut.half_period(params, K)
+    s0, s1 = aut.fk_zeros(params, args.K)
+    eta = aut.half_period(params, args.K)
     payload = {
         "m": params.m,
-        "K": K,
+        "K": args.K,
         "s0": s0,
         "s1": s1,
         "half_period": eta,
-        "energy": -params.lam * K / 2,
+        "energy": -params.lam * args.K / 2,
     }
     return _emit(args, payload)
 
 
 def _autonomous_orbit(args, params: aut.AutonomousParams) -> int:
-    spec, traj = aut.orbit_reconstruct(params, float(args.K), int(args.n_samples))
+    spec, traj = aut.orbit_reconstruct(params, args.K, args.n_samples)
     _emit_rows(args, ["t", "u", "v", "H"], zip(traj.t, traj.u, traj.v, traj.energy))
     if args.spec_out:
         write_json(args.spec_out, {
@@ -201,11 +173,10 @@ def _autonomous_homoclinic(args, params: aut.AutonomousParams) -> int:
 
 
 def _autonomous_bifurcation(args, params: aut.AutonomousParams) -> int:
-    T = float(args.T)
-    count, roots, diag = aut.solutions_count(params, T)
+    count, roots, diag = aut.solutions_count(params, args.T)
     payload = {
         "m": params.m,
-        "T": T,
+        "T": args.T,
         "count": count,
         "roots": [{"k": k, "K": K} for k, K in roots],
         "multi_root_k": diag["multi_root_k"],
@@ -214,53 +185,41 @@ def _autonomous_bifurcation(args, params: aut.AutonomousParams) -> int:
 
 
 def cmd_autonomous(args) -> int:
-    _apply_config(args, {"m": 3, "K": 0.1, "T": 2.0, "n_samples": 2001})
     run = {"portrait": _autonomous_portrait, "period": _autonomous_period,
            "orbit": _autonomous_orbit, "homoclinic": _autonomous_homoclinic,
            "bifurcation": _autonomous_bifurcation}[args.autonomous_cmd]
-    return run(args, aut.AutonomousParams(int(args.m)))
+    return run(args, aut.AutonomousParams(args.m))
 
 
 # -------------------------------------------------------------- dissipative
 
 
 def cmd_dissipative(args) -> int:
-    _apply_config(args, {
-        "m": 3, "mu": 0.5, "t_max": 60.0, "k": 0, "tol": 1e-8,
-        "mu_lo": None, "mu_hi": None, "T": 5.0, "jobs": 1,
-        "grid": None, "mu_start": 0.1, "mu_stop": 0.7, "mu_count": 7,
-        "decay_threshold": 1e-6, "fit_tol": 0.2, "deadband": 1e-9,
-    })
-    params = dis.DissipativeParams(int(args.m))
-    thr = dis.Thresholds(float(args.decay_threshold), float(args.fit_tol),
-                         float(args.deadband))
+    params = dis.DissipativeParams(args.m)
+    thr = dis.Thresholds(args.decay_threshold, args.fit_tol, args.deadband)
     sub = args.dissipative_cmd
     if sub == "shoot":
-        out = dis.shoot(params, float(args.mu), float(args.t_max), thr)
+        out = dis.shoot(params, args.mu, args.t_max, thr)
         return _emit(args, out.to_json_dict())
     if sub == "sweep":
-        grid = args.grid or list(np.linspace(float(args.mu_start), float(args.mu_stop),
-                                             int(args.mu_count)))
-        outcomes = dis.classify_sweep(params, grid, float(args.t_max), thr,
-                                      jobs=int(args.jobs))
+        grid = args.grid or list(np.linspace(args.mu_start, args.mu_stop, args.mu_count))
+        outcomes = dis.classify_sweep(params, grid, args.t_max, thr)
         rows = [(o.mu, o.k, o.cls, o.H_tail) for o in outcomes]
         return _emit_rows(args, ["mu", "k", "class", "H_tail"], rows)
     if sub == "boundary":
         if args.mu_lo is None or args.mu_hi is None:
             raise UsageError("boundary requires --mu-lo and --mu-hi")
-        if not float(args.tol) > 0:
+        if not args.tol > 0:
             raise UsageError("--tol must be positive")
         lo, hi, diag = dis.boundary_bisect(
-            params, int(args.k), float(args.mu_lo), float(args.mu_hi),
-            float(args.tol), float(args.t_max), thr)
-        payload = {"m": params.m, "k": int(args.k), "mu_lo": lo, "mu_hi": hi,
+            params, args.k, args.mu_lo, args.mu_hi, args.tol, args.t_max, thr)
+        payload = {"m": params.m, "k": args.k, "mu_lo": lo, "mu_hi": hi,
                    "width": hi - lo, "non_A_midpoints": diag}
         return _emit(args, payload)
     if sub == "rescaled":
-        mu = float(args.mu)
-        err = dis.rescale_compare(params, mu, float(args.T))
-        ref_err = dis.rescale_compare(params, 10.0, float(args.T))
-        payload = {"m": params.m, "mu": mu, "T": float(args.T),
+        err = dis.rescale_compare(params, args.mu, args.T)
+        ref_err = dis.rescale_compare(params, 10.0, args.T)
+        payload = {"m": params.m, "mu": args.mu, "T": args.T,
                    "sup_error": err, "reference_mu": 10.0,
                    "reference_error": ref_err,
                    "ratio_vs_mu10": err / ref_err if ref_err else None}
@@ -274,7 +233,7 @@ def cmd_dissipative(args) -> int:
 def _profile_from_source(args, m: int) -> ans.SpinorProfile:
     source = args.source
     if source == "dissipative":
-        out = dis.shoot(dis.DissipativeParams(m), float(args.mu), float(args.t_max))
+        out = dis.shoot(dis.DissipativeParams(m), args.mu, args.t_max)
         return ans.profile_from_phase("dissipative", m, out.trajectory)
     params = aut.AutonomousParams(m)
     if source == "homoclinic":
@@ -286,19 +245,15 @@ def _profile_from_source(args, m: int) -> ans.SpinorProfile:
         states = np.full((len(ts), 2), aut.equilibria(params)[1][0])
         traj = Trajectory(ts, states, np.full(len(ts), np.nan))
     elif source == "orbit":
-        span = 5 * (2 * aut.half_period(params, float(args.K)))  # five periods
-        traj = aut.periodic_orbit_trajectory(params, float(args.K), (-span, span), 16001)
+        span = 5 * (2 * aut.half_period(params, args.K))  # five periods
+        traj = aut.periodic_orbit_trajectory(params, args.K, (-span, span), 16001)
     else:
         raise UsageError(f"unknown profile source {source!r}")
     return ans.profile_from_phase("autonomous", m, traj)
 
 
 def cmd_ansatz(args) -> int:
-    _apply_config(args, {
-        "m": 3, "K": 0.1, "mu": 0.4, "t_max": 20.0,
-        "source": "orbit", "end": "zero", "h": [1e-3, 5e-4, 2.5e-4],
-    })
-    m = int(args.m)
+    m = args.m
     sub = args.ansatz_cmd
     if sub == "residual" and not all(h > 0 for h in args.h):
         raise UsageError("--h steps must be positive")
@@ -319,7 +274,7 @@ def cmd_ansatz(args) -> int:
         if args.source == "orbit":
             # whole number of orbit periods so the ln-r oscillation
             # does not bias the least-squares slope
-            window = 4 * aut.half_period(aut.AutonomousParams(m), float(args.K))
+            window = 4 * aut.half_period(aut.AutonomousParams(m), args.K)
         exponent = ans.decay_fit(profile, args.end, window=window)
         payload = {"m": m, "source": args.source, "end": args.end,
                    "exponent": exponent}
@@ -330,7 +285,8 @@ def cmd_ansatz(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subparsers by name; each option's type and default live here."""
     parser = _Parser(prog="diracorbits",
                      description="Planar Hamiltonian reductions of a critical "
                                  "nonlinear Dirac equation")
@@ -338,7 +294,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--m", type=int, default=None, help="dimension parameter")
+        p.add_argument("--m", type=int, default=3, help="dimension parameter")
         p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("clifford", help="build and verify the matrix family")
@@ -350,60 +306,71 @@ def _build_parser() -> _Parser:
     p.add_argument("autonomous_cmd",
                    choices=["portrait", "period", "orbit", "homoclinic", "bifurcation"])
     common(p)
-    p.add_argument("--K", type=_finite_float, default=None, help="level parameter")
-    p.add_argument("--T", type=_finite_float, default=None, help="target period")
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
+    p.add_argument("--K", type=_finite_float, default=0.1, help="level parameter")
+    p.add_argument("--T", type=_finite_float, default=2.0, help="target period")
+    p.add_argument("--n-samples", dest="n_samples", type=int, default=2001)
     p.add_argument("--spec-out", dest="spec_out", default=None)
     p.set_defaults(func=cmd_autonomous)
 
     p = sub.add_parser("dissipative", help="shooting-classification commands")
     p.add_argument("dissipative_cmd", choices=["shoot", "sweep", "boundary", "rescaled"])
     common(p)
-    p.add_argument("--mu", type=_finite_float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=0.5)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=60.0)
+    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--tol", type=_finite_float, default=1e-8)
     p.add_argument("--mu-lo", dest="mu_lo", type=_finite_float, default=None)
     p.add_argument("--mu-hi", dest="mu_hi", type=_finite_float, default=None)
-    p.add_argument("--T", type=_finite_float, default=None, help="rescaled horizon")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--T", type=_finite_float, default=5.0, help="rescaled horizon")
+    p.add_argument("--jobs", type=int, default=1,
                    help="deprecated and ignored: sweep lanes are solved together")
     p.add_argument("--grid", type=_finite_floats, default=None,
                    help="comma-separated mu values")
-    p.add_argument("--mu-start", dest="mu_start", type=_finite_float, default=None)
-    p.add_argument("--mu-stop", dest="mu_stop", type=_finite_float, default=None)
-    p.add_argument("--mu-count", dest="mu_count", type=int, default=None)
-    p.add_argument("--decay-threshold", dest="decay_threshold", type=_finite_float, default=None)
-    p.add_argument("--fit-tol", dest="fit_tol", type=_finite_float, default=None)
-    p.add_argument("--deadband", type=_finite_float, default=None)
+    p.add_argument("--mu-start", dest="mu_start", type=_finite_float, default=0.1)
+    p.add_argument("--mu-stop", dest="mu_stop", type=_finite_float, default=0.7)
+    p.add_argument("--mu-count", dest="mu_count", type=int, default=7)
+    p.add_argument("--decay-threshold", dest="decay_threshold", type=_finite_float, default=1e-6)
+    p.add_argument("--fit-tol", dest="fit_tol", type=_finite_float, default=0.2)
+    p.add_argument("--deadband", type=_finite_float, default=1e-9)
     p.set_defaults(func=cmd_dissipative)
 
     p = sub.add_parser("ansatz", help="radial spinor-profile commands")
     p.add_argument("ansatz_cmd", choices=["profile", "residual", "decay"])
     common(p)
-    p.add_argument("--K", type=_finite_float, default=None)
-    p.add_argument("--mu", type=_finite_float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=None)
-    p.add_argument("--source", default=None,
+    p.add_argument("--K", type=_finite_float, default=0.1)
+    p.add_argument("--mu", type=_finite_float, default=0.4)
+    p.add_argument("--t-max", dest="t_max", type=_finite_float, default=20.0)
+    p.add_argument("--source", default="orbit",
                    choices=["orbit", "homoclinic", "equilibrium", "dissipative"])
-    p.add_argument("--end", default=None, choices=["zero", "infinity"])
-    p.add_argument("--h", type=_finite_floats, default=None,
+    p.add_argument("--end", default="zero", choices=["zero", "infinity"])
+    p.add_argument("--h", type=_finite_floats, default=[1e-3, 5e-4, 2.5e-4],
                    help="comma-separated FD steps")
     p.set_defaults(func=cmd_ansatz)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     """Run one command; under LOG_LEVEL=debug, end with one stderr line on how it went."""
     start = time.perf_counter()
     _setup_logging()
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     command = "(unparsed)"
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(config, dict):
+                raise UsageError("--config must contain a JSON object")
+            # each config value of this command's options becomes that option's
+            # default as text, which argparse reads through the option's type:
+            # the flag's own checks, and flags > config > defaults
+            options = vars(args).keys() - {"config", "func", "command"}
+            subparsers[args.command].set_defaults(
+                **{key: _flag_text(value) for key, value in config.items() if key in options})
+            args = parser.parse_args(argv)
         command = " ".join(filter(None, (args.command, getattr(args, f"{args.command}_cmd", None))))
         return args.func(args)
-    except (UsageError, argparse.ArgumentTypeError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, IntegrationError, NonConvergence) as exc:

@@ -5,6 +5,7 @@ arithmetic; the residual tests use the library's own finite-difference
 stencil as an independent oracle with measured convergence order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -421,6 +422,24 @@ def test_residual_point_out_of_range():
                 pde_residual("autonomous", 3, prof, rep, points, h=1e-4)
     with pytest.raises(PointOutOfRange):
         pde_residual("autonomous", 3, prof, rep, [valid], h=math.nan)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-4, math.inf, -math.inf])
+def test_residual_rejects_a_step_that_is_not_finite_and_positive(h):
+    # h = 0 made every difference quotient 0/0 and returned 0.0
+    rep = build_rep(3)
+    prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=201))
+    with pytest.raises(ValueError):
+        pde_residual("autonomous", 3, prof, rep, [[0.9, 0.0, 0.0]], h=h)
+
+
+def test_residual_keeps_a_nan_point():
+    rep = build_rep(3)
+    prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=201))
+    nan_f1 = dataclasses.replace(prof, f1=np.full_like(prof.f1, np.nan))
+    points = [[0.9, 0.0, 0.0], [0.5, 0.5, 0.0]]
+    assert math.isnan(pde_residual("autonomous", 3, nan_f1, rep, points, h=1e-4))
+    assert math.isfinite(pde_residual("autonomous", 3, prof, rep, points, h=1e-4))
 
 
 def test_residual_rejects_empty_or_misshapen_points():

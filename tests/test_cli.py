@@ -440,6 +440,9 @@ def test_non_finite_flag_is_usage_error(name, flag, value, capsys):
     '{"mu": 1e999}',
     '{"grid": "0.2,-inf"}',
     '{"tol": "-inf"}',
+    # mu_lo and mu_hi default to None, yet their values get the flags' checks
+    '{"mu_hi": "inf"}',
+    '{"mu_lo": "abc"}',
 ])
 def test_non_finite_config_value_is_usage_error(config, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -470,6 +473,52 @@ def test_integer_config_string_reads_as_its_flag(tmp_path, capsys):
     assert run("clifford", "--m", "4") == 0
     assert from_config == capsys.readouterr().out
     assert json.loads(from_config)["m"] == 4
+
+
+@pytest.mark.parametrize("argv,flag,config", [
+    (["dissipative", "sweep", "--m", "3", "--t-max", "10"], ["--grid", "0.2,0.5,0.8"],
+     '{"grid": [0.2, 0.5, 0.8]}'),
+    (["ansatz", "residual", "--m", "3", "--source", "homoclinic"], ["--h", "1e-2,5e-3"],
+     '{"h": [1e-2, 5e-3]}'),
+])
+def test_config_list_reads_as_its_flag(argv, flag, config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run(*argv, "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run(*argv, *flag) == 0
+    assert from_config == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", [
+    '{"func": "x"}',
+    '{"command": "autonomous"}',
+    '{"config": "missing.json"}',
+    '{"K": 0.5}',
+])
+def test_config_keys_that_are_not_options_are_ignored(config, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run("clifford", "--config", str(cfg)) == 0
+    from_config = capsys.readouterr()
+    assert "Traceback" not in from_config.err
+    assert run("clifford") == 0
+    assert from_config.out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["dissipative", "sweep", "--grid", ","], None),
+    (["ansatz", "residual", "--h", ","], None),
+    (["ansatz", "residual"], '{"h": ""}'),
+    (["dissipative", "sweep"], '{"grid": []}'),
+])
+def test_empty_list_is_usage_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run(*argv) == 1
+    _assert_one_usage_error(capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
