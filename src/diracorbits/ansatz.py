@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autonomous, dissipative
 from .clifford import CliffordRep
-from .numerics import Trajectory, ls_slope
+from .numerics import Trajectory, hermite, ls_slope
 
 __all__ = [
     "SpinorProfile",
@@ -37,6 +37,9 @@ __all__ = [
     "decay_fit",
     "four_component_field",
 ]
+
+# positive samples that decay_fit needs in its window
+DECAY_MIN_SAMPLES = 10
 
 
 class OriginEvaluation(ValueError):
@@ -129,22 +132,10 @@ class SpinorProfile:
         return s, np.column_stack([self.f1, self.f2, d1, d2])
 
     def at(self, ln_r) -> tuple[np.ndarray, np.ndarray]:
-        """(f1, f2) at each ln r in ``ln_r`` inside the sampled range: one Hermite cell each.
-
-        Every operation is elementwise, so each value is the double that the
-        same formula gives on Python floats.
-        """
+        """(f1, f2) at each ln r in ``ln_r`` inside the sampled range: one Hermite cell each."""
         s, table = self.hermite
-        ln_r = np.asarray(ln_r, dtype=float)
-        i = np.clip(np.searchsorted(s, ln_r) - 1, 0, s.size - 2)
-        s0 = s[i]
-        (a1, a2, da1, da2), (b1, b2, db1, db2) = table[i].T, table[i + 1].T
-        h = s[i + 1] - s0
-        x = (ln_r - s0) / h
-        step = x * x * (3 - 2 * x)
-        hx = h * x * (1 - x)
-        return (a1 + step * (b1 - a1) + hx * ((1 - x) * da1 - x * db1),
-                a2 + step * (b2 - a2) + hx * ((1 - x) * da2 - x * db2))
+        f = hermite(s, table[:, :2], table[:, 2:], ln_r)
+        return f[..., 0], f[..., 1]
 
 
 def default_gamma0(dim: int) -> np.ndarray:
@@ -300,7 +291,6 @@ def pde_residual(
 def decay_fit(
     profile: SpinorProfile,
     end: str = "zero",
-    min_samples: int = 10,
     window: float | None = None,
 ) -> float:
     """Least-squares slope of ln|psi| vs ln r over the outermost tail window.
@@ -319,9 +309,9 @@ def decay_fit(
         mask = r <= r[0] * math.exp(window)
     else:
         mask = r >= r[-1] * math.exp(-window)
-    if mask.sum() < min_samples or np.any(psi[mask] <= 0):
+    if mask.sum() < DECAY_MIN_SAMPLES or np.any(psi[mask] <= 0):
         raise InsufficientTail(
-            f"need >= {min_samples} positive samples in the outermost window"
+            f"need >= {DECAY_MIN_SAMPLES} positive samples in the outermost window"
         )
     slope = ls_slope(np.log(r[mask]), np.log(psi[mask]))
     if slope is None:

@@ -18,6 +18,7 @@ from .numerics import (
     NonConvergence,
     Trajectory,
     bracketed_roots,
+    hermite,
     quad_chebyshev_endpoint,
 )
 
@@ -249,7 +250,7 @@ def _half_periods(params: AutonomousParams, K: np.ndarray) -> np.ndarray:
     t0, t1, Kc = (s0 ** e)[:, None], (s1 ** e)[:, None], K[:, None]
     return quad_chebyshev_endpoint(
         lambda tau, rows: _integrand(params, Kc[rows], t0[rows], t1[rows], tau),
-        tol=QUAD_TOL, lanes=K.size,
+        K.size, tol=QUAD_TOL,
     )
 
 
@@ -303,7 +304,7 @@ def _orbit_table(params: AutonomousParams, K: float):
         b = np.zeros(2 * n)
         b[1:n] = c[1:n] / np.arange(1, n)
         time = 0.5 * c[0] * theta - np.fft.rfft(b).imag
-        odd = _hermite(time[::2], theta[::2], 1 / g[::2], time[1::2])
+        odd = hermite(time[::2], theta[::2], 1 / g[::2], time[1::2])
         if np.max(np.abs(z_of(odd) / z_of(theta[1::2]) - 1.0)) <= ORBIT_Z_TOL:
             break
         n *= 2
@@ -312,21 +313,12 @@ def _orbit_table(params: AutonomousParams, K: float):
                              f"within {ORBIT_TABLE_MAX} knots")
 
     def at(t):
-        th = _hermite(time, theta, 1 / g, t)
+        th = hermite(time, theta, 1 / g, t)
         x = t0 + (t1 - t0) * np.sin(th / 2) ** 2
         w = (t1 - t0) * np.sin(th) * np.sqrt(_pk_eval(params, K, t0, t1, x)) / m
         return np.clip(x ** (m - 1), s0, s1), w
 
     return s0, s1, float(time[-1]), at
-
-
-def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Piecewise cubic Hermite through (x, y) with slopes dydx, at xq (x increasing)."""
-    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
-    h = x[i + 1] - x[i]
-    s = (xq - x[i]) / h
-    return (y[i] + s * s * (3 - 2 * s) * (y[i + 1] - y[i])
-            + h * s * (1 - s) * ((1 - s) * dydx[i] - s * dydx[i + 1]))
 
 
 def _sample_orbit(params: AutonomousParams, K: float, n_samples: int, t_span=None):

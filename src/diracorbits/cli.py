@@ -66,6 +66,18 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
+def _one_of(names: tuple[str, ...]):
+    """argparse type of an option with ``choices``: argparse runs an option's
+    type on a --config default too, but checks ``choices`` only on a flag."""
+    def check(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+        return text
+
+    return check
+
+
 def _flag_text(value) -> str:
     """A --config value as its flag's text: a list's entries joined with commas."""
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -128,7 +140,7 @@ def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
     curves.append(aut.homoclinic(params, np.linspace(-12.0, 12.0, 1201)))
     # a few outside trajectories
     for u0, v0 in ((1.6, 1.6), (-1.2, 1.2)):
-        traj = integrate(field, (u0, v0), (0.0, 4.0), n_samples=801)
+        traj = integrate(field, (u0, v0), np.linspace(0.0, 4.0, 801))
         curves.append((traj.u, traj.v))
     render_figure(args.out, curves, markers=aut.equilibria(params),
                   title=f"phase portrait, m={params.m}")
@@ -216,15 +228,14 @@ def cmd_dissipative(args) -> int:
         payload = {"m": params.m, "k": args.k, "mu_lo": lo, "mu_hi": hi,
                    "width": hi - lo, "non_A_midpoints": diag}
         return _emit(args, payload)
-    if sub == "rescaled":
-        err = dis.rescale_compare(params, args.mu, args.T)
-        ref_err = dis.rescale_compare(params, 10.0, args.T)
-        payload = {"m": params.m, "mu": args.mu, "T": args.T,
-                   "sup_error": err, "reference_mu": 10.0,
-                   "reference_error": ref_err,
-                   "ratio_vs_mu10": err / ref_err if ref_err else None}
-        return _emit(args, payload)
-    raise UsageError(f"unknown dissipative subcommand {sub!r}")
+    # rescaled, the one subcommand left: argparse checks the choice
+    err = dis.rescale_compare(params, args.mu, args.T)
+    ref_err = dis.rescale_compare(params, 10.0, args.T)
+    payload = {"m": params.m, "mu": args.mu, "T": args.T,
+               "sup_error": err, "reference_mu": 10.0,
+               "reference_error": ref_err,
+               "ratio_vs_mu10": err / ref_err if ref_err else None}
+    return _emit(args, payload)
 
 
 # ------------------------------------------------------------------ ansatz
@@ -244,11 +255,9 @@ def _profile_from_source(args, m: int) -> ans.SpinorProfile:
         ts = np.linspace(-3.0, 3.0, 1001)
         states = np.full((len(ts), 2), aut.equilibria(params)[1][0])
         traj = Trajectory(ts, states, np.full(len(ts), np.nan))
-    elif source == "orbit":
+    else:  # orbit
         span = 5 * (2 * aut.half_period(params, args.K))  # five periods
         traj = aut.periodic_orbit_trajectory(params, args.K, (-span, span), 16001)
-    else:
-        raise UsageError(f"unknown profile source {source!r}")
     return ans.profile_from_phase("autonomous", m, traj)
 
 
@@ -269,17 +278,16 @@ def cmd_ansatz(args) -> int:
         rows = [(h, ans.pde_residual(profile.kind, m, profile, rep, points, h))
                 for h in args.h]
         return _emit_rows(args, ["h", "max_residual"], rows)
-    if sub == "decay":
-        window = None
-        if args.source == "orbit":
-            # whole number of orbit periods so the ln-r oscillation
-            # does not bias the least-squares slope
-            window = 4 * aut.half_period(aut.AutonomousParams(m), args.K)
-        exponent = ans.decay_fit(profile, args.end, window=window)
-        payload = {"m": m, "source": args.source, "end": args.end,
-                   "exponent": exponent}
-        return _emit(args, payload)
-    raise UsageError(f"unknown ansatz subcommand {sub!r}")
+    # decay
+    window = None
+    if args.source == "orbit":
+        # whole number of orbit periods so the ln-r oscillation
+        # does not bias the least-squares slope
+        window = 4 * aut.half_period(aut.AutonomousParams(m), args.K)
+    exponent = ans.decay_fit(profile, args.end, window=window)
+    payload = {"m": m, "source": args.source, "end": args.end,
+               "exponent": exponent}
+    return _emit(args, payload)
 
 
 # -------------------------------------------------------------------- main
@@ -340,9 +348,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--K", type=_finite_float, default=0.1)
     p.add_argument("--mu", type=_finite_float, default=0.4)
     p.add_argument("--t-max", dest="t_max", type=_finite_float, default=20.0)
-    p.add_argument("--source", default="orbit",
-                   choices=["orbit", "homoclinic", "equilibrium", "dissipative"])
-    p.add_argument("--end", default="zero", choices=["zero", "infinity"])
+    sources, ends = ("orbit", "homoclinic", "equilibrium", "dissipative"), ("zero", "infinity")
+    p.add_argument("--source", default="orbit", choices=sources, type=_one_of(sources))
+    p.add_argument("--end", default="zero", choices=ends, type=_one_of(ends))
     p.add_argument("--h", type=_finite_floats, default=[1e-3, 5e-4, 2.5e-4],
                    help="comma-separated FD steps")
     p.set_defaults(func=cmd_ansatz)

@@ -54,6 +54,8 @@ BISECT_LANES = 15
 MIN_ATTEMPTS_PER_TURN = 5.0
 # the envelope is the decay rate of ln(u^2+v^2) over the last this many time units
 TAIL_WINDOW = 5.0
+# samples of rescale_compare's window
+RESCALE_SAMPLES = 2001
 
 
 class BracketInvalid(ValueError):
@@ -294,7 +296,8 @@ def _solve(
     (``_side_stop``), and the solve returns there: each lane's count is
     then final, or already known to exceed k.
     """
-    head = integrate(time_field(params), y0, (0.0, t_max), tol=tol, n_samples=n_samples,
+    grid = np.linspace(0.0, t_max, n_samples)
+    head = integrate(time_field(params), y0, grid, tol=tol,
                      energy=partial(hamiltonian_t, params),
                      stop=_side_stop(params, y0, side, deadband))
     if side is not None or head.terminal_reason != "stopped":
@@ -303,38 +306,34 @@ def _solve(
     head = replace(head, states=head.states.copy())
     u, v = head.states[-1]
     start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
-    field, span = polar_field(params), (float(head.t[-1]), t_max)
-    # the polar grid is linspace(t_stop, t_max), the tail of linspace(0,
-    # t_max) but for rounding, so the samples keep the one grid: polar
-    # sample j is sample n - 1 + j of it, and the window's first is skip + 1
-    grid, n = np.linspace(0.0, t_max, n_samples), len(head)
-    skip = max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)) - n, 0) if window_only else 0
+    # phase 2 starts at phase 1's last sample, grid[n - 1]
+    n = len(head)
+    tail = grid[n - 1:]
+    if window_only:
+        window = max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), n)
+        tail = np.concatenate([grid[n - 1:n], grid[window:]])
     try:
         # the polar trajectory is passed unbound, for _join to free
-        return _join(params, head, integrate(field, start, span, tol=tol,
-                                             n_samples=n_samples - n + 1,
-                                             first_sample=skip + 1),
-                     np.concatenate([head.t, grid[n + skip:]]))
+        return _join(params, head, integrate(polar_field(params), start, tail, tol=tol))
     except IntegrationError as exc:
-        tail = exc.trajectory
-        if tail is not None:
-            exc.trajectory = _join(params, head, tail, np.concatenate([head.t, tail.t[1:]]))
+        if exc.trajectory is not None:
+            exc.trajectory = _join(params, head, exc.trajectory)
         raise
 
 
-def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory,
-          t: np.ndarray) -> Trajectory:
-    """``head`` followed by ``polar`` after its first sample, in (u, v), at times ``t``.
+def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory) -> Trajectory:
+    """``head`` followed by ``polar`` after its first sample, in (u, v).
 
-    ``polar`` may hold only some samples of its grid (the tail window of a
-    sweep, or the formed samples and step ends of a failed solve); only
-    those are mapped, and ``t`` holds their times after ``head.t``.
+    ``polar`` starts at ``head``'s last sample and may hold only some
+    samples of the grid (the tail window of a sweep, or the formed samples
+    and step ends of a failed solve); only those are mapped.
     H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with
     N the coupling of ``polar_field``: it never forms z^(m/(m-1)), which
     overflows from t ~ 700 on. H and the mapped samples are written into
     the output arrays, and a ``polar`` passed unbound is released here.
     """
     n, m = len(head), params.m
+    t = np.concatenate([head.t, polar.t[1:]])
     states = np.empty((len(t),) + head.states.shape[1:])
     states[:n] = head.states
     energy = np.empty(states.shape[:1] + states.shape[2:])
@@ -490,36 +489,18 @@ def rescaled_limit(params: DissipativeParams, t):
     return math.sqrt(2) * np.sin(w), math.sqrt(2) * np.cos(w)
 
 
-def vector_field_rescaled(params: DissipativeParams, eps: float, t: float, state):
-    """Blown-up field: U(t) = eps * u(eps^{2/(m-1)} t) with eps = 1/mu."""
-    U, V = state
-    m = params.m
-    s = eps ** (2 / (m - 1)) * t
-    z = U * U + V * V
-    nl = math.cosh(s) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
-    kap = eps ** (2 / (m - 1)) * params.kappa
-    return nl * V - kap * U, kap * V - nl * U
-
-
-def rescale_compare(
-    params: DissipativeParams,
-    mu: float,
-    T: float = 5.0,
-    tol: Tolerances = Tolerances(),
-    n_samples: int = 2001,
-) -> float:
+def rescale_compare(params: DissipativeParams, mu: float, T: float = 5.0) -> float:
     """Sup-distance on the rescaled window [0, T] to the closed-form limit.
 
     The trajectory is integrated in original time over [0, eps^{2/(m-1)} T]
-    with eps = 1/mu, then mapped by the exact rescaling identity.
+    with eps = 1/mu, sampled at RESCALE_SAMPLES times, then mapped by the
+    exact rescaling identity.
     """
     if not mu >= 1:
         raise ValueError("mu must be >= 1")
     eps = 1.0 / mu
     scale = eps ** (2 / (params.m - 1))
-    traj = integrate(
-        time_field(params), (mu, mu), (0.0, scale * T), tol=tol, n_samples=n_samples
-    )
+    traj = integrate(time_field(params), (mu, mu), np.linspace(0.0, scale * T, RESCALE_SAMPLES))
     U0, V0 = rescaled_limit(params, traj.t / scale)
     return float(np.max(np.hypot(eps * traj.u - U0, eps * traj.v - V0)))
 

@@ -3,9 +3,10 @@
 DOP853 integration of planar fields, one state or many lanes at once (a
 numpy port that steps exactly as scipy's DOP853), Chandrupatla's
 bracketed root finding over many brackets at once, closed-form
-least-squares slopes, and Gauss-Chebyshev quadrature for integrands
+least-squares slopes, Gauss-Chebyshev quadrature for integrands
 carrying an inverse-square-root singularity at both endpoints of [0, 1],
-one integral or many lanes at once. numpy is the only dependency.
+many lanes at once, and piecewise cubic Hermite interpolation. numpy is
+the only dependency.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ __all__ = [
     "bracketed_roots",
     "find_root",
     "quad_chebyshev_endpoint",
+    "hermite",
     "ls_slope",
 ]
 
 # (lane, node) pairs per integrand call in a many-lane quadrature; caps its memory
 QUAD_BLOCK = 1 << 14
+# nodes of a quadrature's first estimate
+QUAD_MIN_NODES = 16
 EPS = np.finfo(float).eps
 # stage nodes as Python floats and the rows A[s, :s] of the DOP853 tableau
 _C = _dop853.C.tolist()
@@ -84,7 +88,7 @@ class Tolerances:
 
 @dataclass
 class Trajectory:
-    """Uniformly resampled solution of a planar ODE.
+    """Solution of a planar ODE at the sample times ``t``.
 
     ``states`` has shape (n, 2), or (n, 2, lanes) for a stacked solve, so
     ``u`` and ``v`` have shape (n,) or (n, lanes); ``energy`` holds the
@@ -114,12 +118,10 @@ class Trajectory:
 def integrate(
     field: PlanarField,
     y0: Sequence[float],
-    t_span: tuple[float, float],
+    t_eval: Sequence[float],
     tol: Tolerances = Tolerances(),
-    n_samples: int = 1001,
     energy: EnergyFn | None = None,
     stop: StopFn | None = None,
-    first_sample: int = 1,
 ) -> Trajectory:
     """Integrate a planar field with DOP853 (Dormand-Prince 8(5,3)).
 
@@ -135,11 +137,14 @@ def integrate(
     ``y0`` is one state (u, v) or a (2, n) array of n independent lanes,
     solved together as one 2n-dimensional system; ``field(t, u, v)`` then
     receives u and v as arrays of length n (one lane gets Python floats).
-    Samples on a uniform grid of ``n_samples`` points come from the
-    7th-order dense output of each step, which costs 3 more field
-    evaluations per step that reaches a new sample. ``energy(t, u, v)``,
-    when given, is called once on the sample arrays and stored on the
-    trajectory.
+    The solve runs from ``t_eval[0]`` to ``t_eval[-1]``, and the samples
+    are formed at exactly the times in ``t_eval`` (at least 2, finite and
+    increasing), from the 7th-order dense output of each step; that costs
+    3 more field evaluations per step that reaches a new sample, so a step
+    with no sample in it builds no dense output. Stepping never reads the
+    dense output, so the steps, and the sample at each time, do not depend
+    on the other times. ``energy(t, u, v)``, when given, is called once on
+    the sample arrays and stored on the trajectory.
 
     ``stop(t, u, v)``, when given, is called once per dense-output fill on
     all of that fill's new samples: t has shape (n,), and u and v have
@@ -149,31 +154,23 @@ def integrate(
     solve ends at the first true one: the trajectory is cut at that sample
     and carries ``terminal_reason="stopped"``.
 
-    ``first_sample`` names the first grid sample to form after the
-    initial one; the default, 1, forms them all. The trajectory holds the
-    initial sample and the grid samples from that index on, and ``stop``
-    sees only those; a step whose samples all lie before it builds no dense
-    output. Stepping never reads the dense output, so the steps and every
-    formed sample are the doubles of a run that forms them all.
-
     Raises StepLimitExceeded once ``tol.max_steps`` step attempts are spent
     (checked between steps), and NonFiniteState when the state turns
     non-finite or the step falls below 10 float spacings of t (as at a
-    finite-time blow-up); both carry the grid samples formed so far merged
-    with the ends of the accepted steps.
+    finite-time blow-up); both carry the samples formed so far merged with
+    the ends of the accepted steps.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t_eval = np.asarray(t_eval, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    if not (math.isfinite(t0) and math.isfinite(t1) and np.all(np.isfinite(y0))):
-        raise ValueError("t_span and y0 must be finite")
-    if not t1 > t0:
-        raise ValueError("t_span must be a nonempty forward interval")
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
-    if not 1 <= first_sample < n_samples:
-        raise ValueError("first_sample must lie in [1, n_samples)")
+    if t_eval.ndim != 1 or t_eval.size < 2:
+        raise ValueError("t_eval must hold at least 2 times")
+    if not (np.all(np.isfinite(t_eval)) and np.all(np.isfinite(y0))):
+        raise ValueError("t_eval and y0 must be finite")
+    if not np.all(t_eval[1:] > t_eval[:-1]):
+        raise ValueError("t_eval must be increasing")
     if y0.ndim not in (1, 2) or y0.shape[0] != 2:
         raise ValueError("y0 must have shape (2,) or (2, n)")
+    t0, t1 = float(t_eval[0]), float(t_eval[-1])
     shape = y0.shape
     rtol, atol = max(tol.rel_tol, 100 * EPS), np.asarray(tol.abs_tol)
 
@@ -190,26 +187,21 @@ def integrate(
         except OverflowError:
             out[:] = np.inf
 
-    t_grid = np.linspace(t0, t1, n_samples)
-    # grid samples 1..skip are not formed; grid sample i > skip is row i - skip
-    skip = first_sample - 1
-    t_out = np.concatenate([t_grid[:1], t_grid[skip + 1:]]) if skip else t_grid
-    states = np.empty((len(t_out),) + shape)
+    states = np.empty((len(t_eval),) + shape)
     states[0] = y0
     # one row per sample, a view the dense output writes into
-    flat = states.reshape(len(t_out), -1)
-    filled = 1  # the next grid sample a step reaches
+    flat = states.reshape(len(t_eval), -1)
+    filled = 1  # the next sample a step reaches
     attempts = accepted = 0
     # row i: t and the flat state at the end of accepted step i + 1, kept
     # for the failure path; the array doubles in place when full
     ends = np.empty((64, 1 + y0.size))
 
     def partial(reason: str) -> Trajectory:
-        # the formed grid samples merged with the accepted step ends, so a
-        # coarse grid (a huge t_span) still shows the path to the failure
-        formed = max(filled - skip, 1)
-        t = np.concatenate([t_out[:formed], ends[:accepted, 0]])
-        ys = np.concatenate([states[:formed], ends[:accepted, 1:].reshape((-1,) + shape)])
+        # the formed samples merged with the accepted step ends, so sparse
+        # times still show the path to the failure
+        t = np.concatenate([t_eval[:filled], ends[:accepted, 0]])
+        ys = np.concatenate([states[:filled], ends[:accepted, 1:].reshape((-1,) + shape)])
         t, first = np.unique(t, return_index=True)
         ys = ys[first]
         return Trajectory(t, ys, _energies(energy, t, ys), accepted,
@@ -260,26 +252,24 @@ def integrate(
             ends[accepted, 1:] = y
             accepted += 1
             if t >= t1:
-                end = n_samples - 1
+                end = len(t_eval) - 1
                 states[-1] = y.reshape(shape)
             else:
-                end = int(np.searchsorted(t_grid, t, side="right"))
-            # the rows of this step's samples that are formed
-            lo, hi = max(filled, skip + 1) - skip, end - skip
-            if hi > lo:
+                end = int(np.searchsorted(t_eval, t, side="right"))
+            if end > filled:
                 _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf,
-                              t_out[lo:hi], flat[lo:hi])
+                              t_eval[filled:end], flat[filled:end])
                 if stop is not None:
-                    fill = states[lo:hi]
-                    hit = np.flatnonzero(stop(t_out[lo:hi], fill[:, 0], fill[:, 1]))
+                    fill = states[filled:end]
+                    hit = np.flatnonzero(stop(t_eval[filled:end], fill[:, 0], fill[:, 1]))
                     if hit.size:
-                        n = lo + int(hit[0]) + 1
-                        t, ys = t_out[:n], states[:n]
+                        n = filled + int(hit[0]) + 1
+                        t, ys = t_eval[:n], states[:n]
                         return Trajectory(t, ys, _energies(energy, t, ys), accepted,
                                           attempts - accepted, "stopped")
             filled = end
             if t >= t1:
-                return Trajectory(t_out, states, _energies(energy, t_out, states),
+                return Trajectory(t_eval, states, _energies(energy, t_eval, states),
                                   accepted, attempts - accepted)
 
 
@@ -447,50 +437,43 @@ def find_root(
 
 
 def quad_chebyshev_endpoint(
-    g: Callable[..., np.ndarray],
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lanes: int,
     tol: float = 1e-12,
     max_nodes: int = 1 << 21,
-    min_nodes: int = 16,
-    lanes: int | None = None,
-) -> float | np.ndarray:
-    """Compute the weighted integral of g(tau)/sqrt(tau*(1-tau)) over [0, 1].
+) -> np.ndarray:
+    """Compute ``lanes`` weighted integrals of g(tau)/sqrt(tau*(1-tau)) over [0, 1].
 
-    Gauss-Chebyshev (first kind) after mapping to [-1, 1]; the node count is
-    doubled until two successive estimates agree to ``tol``. With n nodes the
-    rule is exact for polynomial g up to degree 2n-1.
+    Gauss-Chebyshev (first kind) after mapping to [-1, 1]; the node count
+    starts at QUAD_MIN_NODES and is doubled until two successive estimates
+    agree to ``tol``. With n nodes the rule is exact for polynomial g up to
+    degree 2n-1.
 
-    With ``lanes=L`` it computes L integrals at once: ``g(tau, rows)`` gets
-    nodes and an index array of lanes and returns a (len(rows), len(tau))
-    array, and the result is an array of L values. Each lane doubles until
-    its own estimates agree; a call holds at most QUAD_BLOCK (lane, node)
-    pairs (one lane and a chunk of its n nodes once n exceeds it), and a
-    block's unsettled rows go on to 2n before the other lanes at n, so a
-    lane that cannot settle fails early. A lane's value does not depend on
-    the other lanes. A lane that does not settle within ``max_nodes``, or
-    whose estimate is not finite, raises ``NonConvergence``.
+    ``g(tau, rows)`` gets nodes and an index array of lanes and returns a
+    (len(rows), len(tau)) array; the result is an array of ``lanes``
+    values. Each lane doubles until its own estimates agree; a call holds
+    at most QUAD_BLOCK (lane, node) pairs (one lane and a chunk of its n
+    nodes once n exceeds it), and a block's unsettled rows go on to 2n
+    before the other lanes at n, so a lane that cannot settle fails early.
+    A lane's value does not depend on the other lanes. A lane that does not
+    settle within ``max_nodes``, or whose estimate is not finite, raises
+    ``NonConvergence``.
     """
-    if lanes is None:
-        return float(_chebyshev_lanes(lambda tau, rows: np.asarray(g(tau), dtype=float)[None],
-                                      1, tol, max_nodes, min_nodes)[0])
-    return _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes)
-
-
-def _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes, block=QUAD_BLOCK) -> np.ndarray:
     est = np.full(lanes, np.nan)
-    todo = [(np.arange(lanes), min_nodes)]
+    todo = [(np.arange(lanes), QUAD_MIN_NODES)]
     while todo:
         rows, n = todo.pop()
         if n > max_nodes:
             raise NonConvergence(f"quadrature did not settle to {tol} within {max_nodes} nodes")
-        take = max(1, block // n)
+        take = max(1, QUAD_BLOCK // n)
         if rows.size > take:
             todo.append((rows[take:], n))
             rows = rows[:take]
-        # nodes in chunks of at most `block`; the chunk sums are added
+        # nodes in chunks of at most QUAD_BLOCK; the chunk sums are added
         # pairwise, numpy's own order for a row of 2^j nodes
         sums = []
-        for lo in range(0, n, block):
-            k = np.arange(lo + 1, min(n, lo + block) + 1)
+        for lo in range(0, n, QUAD_BLOCK):
+            k = np.arange(lo + 1, min(n, lo + QUAD_BLOCK) + 1)
             # cos^2 of the half angle keeps tau's relative digits near 0
             tau = np.cos((2 * k - 1) * np.pi / (4 * n)) ** 2
             sums.append(np.asarray(g(tau, rows), dtype=float).sum(axis=1))
@@ -504,6 +487,25 @@ def _chebyshev_lanes(g, lanes, tol, max_nodes, min_nodes, block=QUAD_BLOCK) -> n
         if not settled.all():
             todo.append((rows[~settled], 2 * n))
     return est
+
+
+def hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, xq) -> np.ndarray:
+    """Piecewise cubic Hermite through (x, y) with slopes dydx, at xq (x increasing).
+
+    ``y`` and ``dydx`` have shape (n,), or (n, c) for c curves on the same
+    knots; the result has the shape of xq, with a last axis of c for the
+    latter. Each query takes the cell whose right knot is the first knot
+    >= it, clamped to the end cells. Every operation is elementwise, so
+    each value is the double that the same formula gives on Python floats.
+    """
+    xq = np.asarray(xq, dtype=float)
+    i = np.clip(np.searchsorted(x, xq) - 1, 0, x.size - 2)
+    h = x[i + 1] - x[i]
+    s = (xq - x[i]) / h
+    if y.ndim == 2:
+        h, s = h[..., None], s[..., None]
+    return (y[i] + s * s * (3 - 2 * s) * (y[i + 1] - y[i])
+            + h * s * (1 - s) * ((1 - s) * dydx[i] - s * dydx[i + 1]))
 
 
 def ls_slope(x: np.ndarray, y: np.ndarray) -> float | None:

@@ -12,6 +12,8 @@ import numpy as np
 
 __all__ = ["render_figure"]
 
+# canvas size in px, and intervals between axis ticks
+WIDTH, HEIGHT, N_TICKS = 640, 480, 5
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -23,9 +25,6 @@ def render_figure(
     path: str | Path,
     curves: Sequence[tuple[np.ndarray, np.ndarray]],
     markers: Sequence[tuple[float, float]] = (),
-    width: int = 640,
-    height: int = 480,
-    n_ticks: int = 5,
     title: str = "",
 ) -> None:
     """Write an SVG of 2-D curves with linear axes fitted to the data."""
@@ -49,42 +48,42 @@ def render_figure(
     margin = 40.0
 
     def sx(x: float) -> float:
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * margin)
 
     def sy(y: float) -> float:
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        return HEIGHT - margin - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * margin)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}px" height="{height}px" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'width="{WIDTH}px" height="{HEIGHT}px" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{_f(width / 2)}" y="20" text-anchor="middle" '
+            f'<text x="{_f(WIDTH / 2)}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     # axes
     out.append(
-        f'<line x1="{_f(margin)}" y1="{_f(height - margin)}" '
-        f'x2="{_f(width - margin)}" y2="{_f(height - margin)}" stroke="black"/>'
+        f'<line x1="{_f(margin)}" y1="{_f(HEIGHT - margin)}" '
+        f'x2="{_f(WIDTH - margin)}" y2="{_f(HEIGHT - margin)}" stroke="black"/>'
     )
     out.append(
         f'<line x1="{_f(margin)}" y1="{_f(margin)}" '
-        f'x2="{_f(margin)}" y2="{_f(height - margin)}" stroke="black"/>'
+        f'x2="{_f(margin)}" y2="{_f(HEIGHT - margin)}" stroke="black"/>'
     )
-    for i in range(n_ticks + 1):
-        xv = x_lo + (x_hi - x_lo) * i / n_ticks
-        yv = y_lo + (y_hi - y_lo) * i / n_ticks
+    for i in range(N_TICKS + 1):
+        xv = x_lo + (x_hi - x_lo) * i / N_TICKS
+        yv = y_lo + (y_hi - y_lo) * i / N_TICKS
         px, py = sx(xv), sy(yv)
         out.append(
-            f'<line x1="{_f(px)}" y1="{_f(height - margin)}" x2="{_f(px)}" '
-            f'y2="{_f(height - margin + 5)}" stroke="black"/>'
+            f'<line x1="{_f(px)}" y1="{_f(HEIGHT - margin)}" x2="{_f(px)}" '
+            f'y2="{_f(HEIGHT - margin + 5)}" stroke="black"/>'
         )
         out.append(
-            f'<text x="{_f(px)}" y="{_f(height - margin + 18)}" text-anchor="middle" '
+            f'<text x="{_f(px)}" y="{_f(HEIGHT - margin + 18)}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="10">{_f(xv)}</text>'
         )
         out.append(

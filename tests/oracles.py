@@ -125,3 +125,17 @@ def fit_slope(xs, ys) -> float:
     num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     den = sum((x - mx) ** 2 for x in xs)
     return num / den
+
+
+def vector_field_rescaled(m: int, eps: float, t: float, state):
+    """Blown-up dissipative field: U(t) = eps * u(eps^{2/(m-1)} t) with eps = 1/mu.
+
+    Written out on its own, so a solve of it checks the rescaling identity
+    that ``dissipative.rescale_compare`` applies to an original-time solve.
+    """
+    U, V = state
+    s = eps ** (2 / (m - 1)) * t
+    z = U * U + V * V
+    nl = math.cosh(s) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
+    kap = eps ** (2 / (m - 1)) * (m - 2) / 2
+    return nl * V - kap * U, kap * V - nl * U

@@ -96,8 +96,7 @@ def test_acceptance_04_orbit_cross_validation():
         rk = integrate(
             aut.time_field(params),
             (float(u0), float(v0)),
-            (0.0, 2 * eta),
-            n_samples=2001,
+            np.linspace(0.0, 2 * eta, 2001),
             energy=lambda t, u, v: aut.hamiltonian(params, u, v),
         )
         sup = float(np.max(np.abs(rk.states - recon.states)))
@@ -109,8 +108,7 @@ def test_acceptance_04_orbit_cross_validation():
         long = integrate(
             aut.time_field(params),
             (float(u0), float(v0)),
-            (0.0, 20 * eta),
-            n_samples=4001,
+            np.linspace(0.0, 20 * eta, 4001),
             energy=lambda t, u, v: aut.hamiltonian(params, u, v),
         )
         if np.max(np.abs(long.energy - long.energy[0])) > 1e-8:
@@ -154,9 +152,8 @@ def test_acceptance_06_dissipative_invariants():
             fwd = integrate(
                 dis.time_field(params),
                 (float(mu), float(mu)),
-                (0.0, 5.0),
+                np.linspace(0.0, 5.0, 201),
                 Tolerances(1e-12, 1e-12),
-                n_samples=201,
             )
 
             def backward(s, u, v, params=params):
@@ -166,9 +163,8 @@ def test_acceptance_06_dissipative_invariants():
             bwd = integrate(
                 backward,
                 (float(mu), float(mu)),
-                (0.0, 5.0),
+                np.linspace(0.0, 5.0, 201),
                 Tolerances(1e-12, 1e-12),
-                n_samples=201,
             )
             if np.max(np.abs(bwd.u - fwd.v)) > 1e-8:
                 ok = False

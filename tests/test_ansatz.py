@@ -552,9 +552,8 @@ def test_integrated_orbit_profile_round_trip():
     traj = integrate(
         autonomous_field(M3),
         (float(u0), float(v0)),
-        (0.0, float(2 * eta)),
+        np.linspace(0.0, float(2 * eta), 801),
         Tolerances(1e-12, 1e-12),
-        n_samples=801,
         energy=lambda t, u, v: autonomous_hamiltonian(M3, u, v),
     )
     prof = profile_from_phase("autonomous", 3, traj)

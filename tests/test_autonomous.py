@@ -292,9 +292,8 @@ def test_orbit_cross_validates_against_rk():
     rk = integrate(
         time_field(M3),
         traj.states[0],
-        (0.0, float(traj.t[-1])),
+        np.linspace(0.0, float(traj.t[-1]), 2001),
         tol=Tolerances(abs_tol=1e-12, rel_tol=1e-12),
-        n_samples=2001,
     )
     assert np.max(np.abs(rk.states - traj.states)) <= 1e-5
 
@@ -353,8 +352,8 @@ def test_periodic_extension_consistency():
 
 
 def test_energy_conservation_along_flow():
-    traj = integrate(time_field(M3), (0.3, 0.3), (0.0, 50.0),
-                     energy=lambda t, u, v: hamiltonian(M3, u, v), n_samples=5001)
+    traj = integrate(time_field(M3), (0.3, 0.3), np.linspace(0.0, 50.0, 5001),
+                     energy=lambda t, u, v: hamiltonian(M3, u, v))
     assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-8
 
 
@@ -362,13 +361,14 @@ def test_time_reversal_symmetry():
     # the system is invariant under (u, v, t) -> (v, u, -t): starting from
     # (mu, mu), u(-t) = v(t)
     mu = 0.5
-    fwd = integrate(time_field(M3), (mu, mu), (0.0, 5.0), n_samples=501)
+    grid = np.linspace(0.0, 5.0, 501)
+    fwd = integrate(time_field(M3), (mu, mu), grid)
 
     def back_field(t, u, v):
         fu, fv = time_field(M3)(0.0, u, v)
         return -fu, -fv
 
-    bwd = integrate(back_field, (mu, mu), (0.0, 5.0), n_samples=501)
+    bwd = integrate(back_field, (mu, mu), grid)
     assert np.max(np.abs(bwd.u - fwd.v)) < 1e-8
     assert np.max(np.abs(bwd.v - fwd.u)) < 1e-8
 

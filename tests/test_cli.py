@@ -521,6 +521,19 @@ def test_empty_list_is_usage_error(argv, config, tmp_path, capsys):
     _assert_one_usage_error(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["ansatz", "decay"], '{"end": "middle"}'),
+    (["ansatz", "profile"], '{"end": "middle"}'),
+    (["ansatz", "residual"], '{"source": "nowhere"}'),
+])
+def test_config_value_outside_the_choices_is_usage_error(argv, config, tmp_path, capsys):
+    # --end middle and --source nowhere are refused, so their config values are too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert run(*argv, "--config", str(cfg)) == 1
+    _assert_one_usage_error(capsys.readouterr().err)
+
+
 # ---------------------------------------------------------------------------
 # cold path: every command runs on numpy alone
 

@@ -16,24 +16,24 @@ from diracorbits.numerics import (
     StepLimitExceeded,
     Tolerances,
     find_root,
+    hermite,
     integrate,
     ls_slope,
-    _chebyshev_lanes,
     quad_chebyshev_endpoint,
 )
-from diracorbits import _dop853
+from diracorbits import _dop853, numerics
 from diracorbits.dissipative import DissipativeParams, hamiltonian_t, time_field
 from oracles import tanh_sinh_quad
 
 
 def test_zero_field_constant():
-    traj = integrate(lambda t, u, v: (0.0, 0.0), (1.0, 2.0), (0.0, 1.0))
+    traj = integrate(lambda t, u, v: (0.0, 0.0), (1.0, 2.0), np.linspace(0.0, 1.0, 1001))
     assert np.allclose(traj.states, [1.0, 2.0])
     assert traj.t[0] == 0.0 and traj.t[-1] == 1.0
 
 
 def test_linear_saddle_closed_form():
-    traj = integrate(lambda t, u, v: (-u, v), (1.0, 0.0), (0.0, 1.0))
+    traj = integrate(lambda t, u, v: (-u, v), (1.0, 0.0), np.linspace(0.0, 1.0, 1001))
     assert abs(traj.u[-1] - math.exp(-1)) < 1e-9
     assert abs(traj.v[-1]) < 1e-12
 
@@ -45,7 +45,7 @@ def test_integrator_order_on_linear_problem():
         traj = integrate(
             lambda t, u, v: (-u, v),
             (1.0, 1.0),
-            (0.0, 2.0),
+            np.linspace(0.0, 2.0, 1001),
             tol=Tolerances(abs_tol=tol, rel_tol=tol),
         )
         return max(
@@ -61,7 +61,8 @@ def test_energy_stamps_match_recomputation():
     def en(t, u, v):
         return u * u + v * v
 
-    traj = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), (0.0, 3.0), energy=en)
+    traj = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), np.linspace(0.0, 3.0, 1001),
+                     energy=en)
     recomputed = np.array([en(t, s[0], s[1]) for t, s in zip(traj.t, traj.states)])
     assert np.max(np.abs(traj.energy - recomputed)) <= 1e-12
 
@@ -71,7 +72,7 @@ def test_step_limit_carries_partial_trajectory():
         integrate(
             lambda t, u, v: (v, -u),
             (1.0, 0.0),
-            (0.0, 100.0),
+            np.linspace(0.0, 100.0, 1001),
             tol=Tolerances(max_steps=10),
         )
     traj = exc.value.trajectory
@@ -82,7 +83,7 @@ def test_step_limit_carries_partial_trajectory():
 def test_nonfinite_blowup_detected():
     # u' = u^2 blows up at t = 1 from u(0) = 1
     with pytest.raises(NonFiniteState):
-        integrate(lambda t, u, v: (u * u, 0.0), (1.0, 0.0), (0.0, 2.0))
+        integrate(lambda t, u, v: (u * u, 0.0), (1.0, 0.0), np.linspace(0.0, 2.0, 1001))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -91,7 +92,7 @@ def test_blowup_ends_at_closed_form_time(p, u0):
     # u' = u^p from u0 blows up at t* = 1/((p-1) u0^(p-1))
     t_star = 1.0 / ((p - 1) * u0 ** (p - 1))
     with pytest.raises(NonFiniteState) as exc:
-        integrate(lambda t, u, v: (u**p, 0.0), (u0, 0.0), (0.0, 2 * t_star))
+        integrate(lambda t, u, v: (u**p, 0.0), (u0, 0.0), np.linspace(0.0, 2 * t_star, 1001))
     traj = exc.value.trajectory
     assert traj.terminal_reason == "non_finite"
     assert abs(traj.t[-1] - t_star) <= 1e-3 * t_star
@@ -101,16 +102,16 @@ def test_step_ends_are_kept_in_under_64_bytes_each():
     # the failure path's step ends live in one array that doubles when full,
     # not in one array per step; a failure past several doublings carries
     # every end, each with its own time
-    args = (lambda t, u, v: (v, -u), (1.0, 0.0), (0.0, 1e3))
+    args = (lambda t, u, v: (v, -u), (1.0, 0.0), np.linspace(0.0, 1e3, 11))
     tracemalloc.start()
     try:
-        traj = integrate(*args, n_samples=11)
+        traj = integrate(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * traj.steps_accepted
     with pytest.raises(StepLimitExceeded) as exc:
-        integrate(*args, n_samples=11, tol=Tolerances(max_steps=1000))
+        integrate(*args, tol=Tolerances(max_steps=1000))
     part = exc.value.trajectory
     formed = int(part.t[-1] // 100) + 1
     assert part.steps_accepted > 4 * 64 and len(part) == formed + part.steps_accepted
@@ -120,8 +121,10 @@ def test_step_ends_are_kept_in_under_64_bytes_each():
 
 @pytest.mark.parametrize(
     "y0, t_span",
-    [((1.0, 0.0), (0.0, math.inf)), ((1.0, 0.0), (math.nan, 1.0)),
-     ((math.nan, 0.0), (0.0, 1.0)), ((1.0, math.inf), (0.0, 1.0))],
+    [((1.0, 0.0), [0.0, math.inf]), ((1.0, 0.0), [math.nan, 1.0]),
+     ((math.nan, 0.0), [0.0, 1.0]), ((1.0, math.inf), [0.0, 1.0]),
+     # sample times: one time, decreasing times, a repeated time
+     ((1.0, 0.0), [0.0]), ((1.0, 0.0), [1.0, 0.5, 0.0]), ((1.0, 0.0), [0.0, 0.5, 0.5, 1.0])],
 )
 def test_nonfinite_input_rejected(y0, t_span):
     with pytest.raises(ValueError):
@@ -131,8 +134,8 @@ def test_nonfinite_input_rejected(y0, t_span):
 def test_stop_ends_at_first_sample_where_it_holds():
     # saddle lanes v = v0 e^t; "every lane has v >= 1" stays true once true
     y0 = np.array([[1.0, 1.0, 1.0], [0.1, 0.2, 0.4]])
-    args = (lambda t, u, v: (-u, v), y0, (0.0, 5.0))
-    full = integrate(*args, n_samples=501)
+    args = (lambda t, u, v: (-u, v), y0, np.linspace(0.0, 5.0, 501))
+    full = integrate(*args)
     seen = []
 
     def stop(t, u, v):
@@ -140,7 +143,7 @@ def test_stop_ends_at_first_sample_where_it_holds():
         seen.extend(t)
         return np.all(v >= 1.0, axis=1)
 
-    cut = integrate(*args, n_samples=501, stop=stop)
+    cut = integrate(*args, stop=stop)
     first = int(np.nonzero(np.all(full.v >= 1.0, axis=1))[0][0])
     assert cut.terminal_reason == "stopped"
     assert len(cut) == first + 1
@@ -157,7 +160,8 @@ def test_stop_that_never_fires_is_bit_identical():
     def en(t, u, v):
         return u * u + v * v
 
-    args = (lambda t, u, v: (-v, u), np.array([[1.0, 0.5], [0.0, 0.2]]), (0.0, 7.0))
+    args = (lambda t, u, v: (-v, u), np.array([[1.0, 0.5], [0.0, 0.2]]),
+            np.linspace(0.0, 7.0, 1001))
     plain = integrate(*args, energy=en)
     never = integrate(*args, energy=en, stop=lambda t, u, v: False)
     for name in ("t", "states", "energy"):
@@ -180,16 +184,19 @@ def _counted(field):
 
 @pytest.mark.parametrize("first", [1, 2, 37, 400, 999, 1000])
 def test_first_sample_forms_the_full_runs_rows_from_it(first):
-    # stepping never reads the dense output: the steps and every formed
-    # sample are the doubles of the run that forms them all
+    # stepping never reads the dense output: a run on the initial time and
+    # the grid from ``first`` on takes the same steps, and its samples are
+    # the doubles of the run on the whole grid
     def en(t, u, v):
         return u * u - v * v
 
-    args = ((lambda t, u, v: (v, math.cosh(t) ** -0.5 * u)),
-            np.array([[1.0, 0.3], [0.0, -0.2]]), (0.0, 4.0))
-    full = integrate(*args, energy=en)
-    part = integrate(*args, energy=en, first_sample=first)
-    rows = [0, *range(first, len(full))]
+    def field(t, u, v):
+        return v, math.cosh(t) ** -0.5 * u
+
+    y0, grid = np.array([[1.0, 0.3], [0.0, -0.2]]), np.linspace(0.0, 4.0, 1001)
+    rows = [0, *range(first, len(grid))]
+    full = integrate(field, y0, grid, energy=en)
+    part = integrate(field, y0, grid[rows], energy=en)
     for name in ("t", "states", "energy"):
         assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
     assert (part.steps_accepted, part.steps_rejected, part.terminal_reason) == (
@@ -198,32 +205,34 @@ def test_first_sample_forms_the_full_runs_rows_from_it(first):
 
 @pytest.mark.parametrize("first", [2, 150, 600, 1000])
 def test_first_sample_saves_the_dense_output_of_each_skipped_step(first):
-    # a step whose samples all lie before the first one formed skips its 3
-    # dense-output stages; the fills of the full run tell which steps those are
+    # a step with no sample time in it skips its 3 dense-output stages: on
+    # the grid less samples 1 .. first - 1, those are the steps whose fills
+    # in the whole grid's run all lie before grid[first]
     fills = []
 
     def record(t, u, v):
         fills.append(t[-1])
         return np.zeros(len(t), dtype=bool)
 
+    grid = np.linspace(0.0, 30.0, 1001)
     field, full_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
-    t_grid = integrate(field, (1.0, 0.0), (0.0, 30.0), stop=record).t
+    integrate(field, (1.0, 0.0), grid, stop=record)
     field, part_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
-    integrate(field, (1.0, 0.0), (0.0, 30.0), first_sample=first)
-    skipped = sum(1 for t in fills if t < t_grid[first])
+    integrate(field, (1.0, 0.0), grid[[0, *range(first, len(grid))]])
+    skipped = sum(1 for t in fills if t < grid[first])
     assert skipped > 0
     assert len(full_calls) - len(part_calls) == 3 * skipped
 
 
 def test_blowup_before_the_first_sample_keeps_only_formed_states():
-    # u' = u^2 from u = 1 blows up at t = 1; the first sample to form is at
-    # t = 1.5, so the partial trajectory holds the initial state and the
-    # step ends, each a state of the full run at the same time
-    args = (lambda t, u, v: (u * u, 0.0), (1.0, 0.0), (0.0, 2.0))
+    # u' = u^2 from u = 1 blows up at t = 1; the first sample after the
+    # initial one is at t = 1.5, so the partial trajectory holds the initial
+    # state and the step ends, each a state of the full run at the same time
+    field, grid = (lambda t, u, v: (u * u, 0.0)), np.linspace(0.0, 2.0, 201)
     with pytest.raises(NonFiniteState) as full:
-        integrate(*args, n_samples=201)
+        integrate(field, (1.0, 0.0), grid)
     with pytest.raises(NonFiniteState) as part:
-        integrate(*args, n_samples=201, first_sample=150)
+        integrate(field, (1.0, 0.0), grid[[0, *range(150, len(grid))]])
     full, part = full.value.trajectory, part.value.trajectory
     assert 1 < len(part) < len(full)
     assert np.all(np.isfinite(part.states)) and part.t[-1] < 1.5
@@ -232,19 +241,13 @@ def test_blowup_before_the_first_sample_keeps_only_formed_states():
     assert np.array_equal(full.states[at], part.states)
 
 
-def test_first_sample_out_of_range_rejected():
-    for first in (0, 1001):
-        with pytest.raises(ValueError):
-            integrate(lambda t, u, v: (v, -u), (1.0, 0.0), (0.0, 1.0), first_sample=first)
-
-
 # ---------------------------------------------------------------------------
 # parity with scipy's DOP853, stepped one step at a time as integrate steps
 
 
-def _scipy_dop853(field, y0, t_span, tol=Tolerances(), n_samples=1001, stop=None):
-    """Grid, samples and step counts of scipy.integrate.DOP853 driven step by
-    step with dense output on the uniform grid, as ``integrate`` once did."""
+def _scipy_dop853(field, y0, t_grid, tol=Tolerances(), stop=None):
+    """Times, samples and step counts of scipy.integrate.DOP853 driven step by
+    step with dense output at the times ``t_grid``, as ``integrate`` once did."""
     from scipy.integrate import DOP853
 
     y0 = np.asarray(y0, dtype=float)
@@ -255,12 +258,12 @@ def _scipy_dop853(field, y0, t_span, tol=Tolerances(), n_samples=1001, stop=None
         f[0], f[1] = field(t, *(y.reshape(shape) if y0.ndim == 2 else y.tolist()))
         return f.ravel()
 
-    t_grid = np.linspace(*t_span, n_samples)
+    n_samples = len(t_grid)
     states = np.empty((n_samples,) + shape)
     states[0] = y0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the rtol floor warns
-        solver = DOP853(rhs, t_span[0], y0.ravel(), t_span[1], rtol=tol.rel_tol,
+        solver = DOP853(rhs, t_grid[0], y0.ravel(), t_grid[-1], rtol=tol.rel_tol,
                         atol=tol.abs_tol)
     nfev0, filled, accepted, dense, n_out = solver.nfev, 1, 0, 0, n_samples
     while solver.status == "running":
@@ -288,10 +291,10 @@ def _scipy_dop853(field, y0, t_span, tol=Tolerances(), n_samples=1001, stop=None
     return t_grid[:n_out], states[:n_out], accepted, attempts - accepted
 
 
-def _assert_same_as_scipy(field, y0, t_span, **kw):
-    traj = integrate(field, y0, t_span, **kw)
+def _assert_same_as_scipy(field, y0, t_eval, **kw):
+    traj = integrate(field, y0, t_eval, **kw)
     kw.pop("energy", None)
-    t, states, accepted, rejected = _scipy_dop853(field, y0, t_span, **kw)
+    t, states, accepted, rejected = _scipy_dop853(field, y0, t_eval, **kw)
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.states, states)
     assert (traj.steps_accepted, traj.steps_rejected) == (accepted, rejected)
@@ -309,22 +312,22 @@ def test_tableau_is_scipys():
 def test_one_lane_matches_scipy_dop853_bit_for_bit(m):
     params = DissipativeParams(m)
     for mu in (0.3, 0.6, 7.0):
-        _assert_same_as_scipy(time_field(params), (mu, mu), (0.0, 60.0), n_samples=4001)
+        _assert_same_as_scipy(time_field(params), (mu, mu), np.linspace(0.0, 60.0, 4001))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_stacked_lanes_match_scipy_dop853_bit_for_bit(m):
     mus = np.geomspace(0.2, 10.0, 15)
     _assert_same_as_scipy(time_field(DissipativeParams(m)), np.array([mus, mus]),
-                          (0.0, 60.0), n_samples=4001)
+                          np.linspace(0.0, 60.0, 4001))
 
 
 def test_stop_run_matches_scipy_dop853_bit_for_bit():
     params = DissipativeParams(3)
     en = partial(hamiltonian_t, params)
     mus = np.geomspace(0.2, 10.0, 15)
-    traj = _assert_same_as_scipy(time_field(params), np.array([mus, mus]), (0.0, 60.0),
-                                 n_samples=4001, energy=en,
+    traj = _assert_same_as_scipy(time_field(params), np.array([mus, mus]),
+                                 np.linspace(0.0, 60.0, 4001), energy=en,
                                  stop=lambda t, u, v: np.all(en(t[:, None], u, v) <= 0.0, axis=1))
     assert traj.terminal_reason == "stopped" and traj.t[-1] < 60.0
 
@@ -334,11 +337,12 @@ def test_rtol_below_floor_matches_scipy_dop853_bit_for_bit():
     tol = Tolerances(abs_tol=1e-14, rel_tol=1e-16)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _assert_same_as_scipy(time_field(DissipativeParams(4)), (0.8, 0.8), (0.0, 5.0),
-                              tol=tol, n_samples=501)
+        _assert_same_as_scipy(time_field(DissipativeParams(4)), (0.8, 0.8),
+                              np.linspace(0.0, 5.0, 501), tol=tol)
     floor = Tolerances(abs_tol=1e-14, rel_tol=100 * np.finfo(float).eps)
-    low = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), (0.0, 3.0), tol=tol)
-    at = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), (0.0, 3.0), tol=floor)
+    grid = np.linspace(0.0, 3.0, 1001)
+    low = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), grid, tol=tol)
+    at = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), grid, tol=floor)
     assert np.array_equal(low.states, at.states)
 
 
@@ -393,10 +397,15 @@ def test_find_root_stays_in_bracket(a, width, shift):
     assert abs(x - root) < 1e-9
 
 
+def _quad_one(g, **kw):
+    """The one-lane quadrature of g(tau)."""
+    return float(quad_chebyshev_endpoint(lambda tau, rows: g(tau)[None], 1, **kw)[0])
+
+
 def test_chebyshev_weight_integrals():
-    assert abs(quad_chebyshev_endpoint(lambda t: np.ones_like(t)) - math.pi) < 1e-13
-    assert abs(quad_chebyshev_endpoint(lambda t: t) - math.pi / 2) < 1e-13
-    assert abs(quad_chebyshev_endpoint(lambda t: t * (1 - t)) - math.pi / 8) < 1e-13
+    assert abs(_quad_one(lambda t: np.ones_like(t)) - math.pi) < 1e-13
+    assert abs(_quad_one(lambda t: t) - math.pi / 2) < 1e-13
+    assert abs(_quad_one(lambda t: t * (1 - t)) - math.pi / 8) < 1e-13
 
 
 @given(coeffs=st.lists(st.floats(-3, 3), min_size=1, max_size=6))
@@ -411,7 +420,7 @@ def test_chebyshev_polynomial_exactness(coeffs):
     def g(tau):
         return sum(c * tau**n for n, c in enumerate(coeffs))
 
-    got = quad_chebyshev_endpoint(g, tol=1e-13)
+    got = _quad_one(g, tol=1e-13)
     assert abs(got - exact) <= 1e-11 * max(1.0, abs(exact))
 
 
@@ -419,7 +428,7 @@ def test_chebyshev_vs_tanh_sinh_oracle():
     def g(tau):
         return np.exp(-tau) / (1 + tau)
 
-    got = quad_chebyshev_endpoint(g, tol=1e-13)
+    got = _quad_one(g, tol=1e-13)
     ref = tanh_sinh_quad(
         None,
         0.0,
@@ -434,17 +443,18 @@ def _lane_integrand(tau, rows):
     return np.exp(-np.outer(rows, tau)) / (1 + tau)
 
 
-def test_chebyshev_lanes_match_scalar_calls_bit_for_bit():
-    lanes = quad_chebyshev_endpoint(_lane_integrand, tol=1e-13, lanes=40)
-    single = [quad_chebyshev_endpoint(lambda tau, j=j: np.exp(-j * tau) / (1 + tau), tol=1e-13)
+def test_chebyshev_lanes_match_scalar_calls_bit_for_bit(monkeypatch):
+    lanes = quad_chebyshev_endpoint(_lane_integrand, 40, tol=1e-13)
+    single = [_quad_one(lambda tau, j=j: np.exp(-j * tau) / (1 + tau), tol=1e-13)
               for j in range(40)]
     assert lanes.tolist() == single
     # the block cap splits the calls, not the values
-    small = _chebyshev_lanes(_lane_integrand, 40, 1e-13, 1 << 21, 16, block=64)
+    monkeypatch.setattr(numerics, "QUAD_BLOCK", 64)
+    small = quad_chebyshev_endpoint(_lane_integrand, 40, tol=1e-13)
     assert small.tolist() == single
 
 
-def test_chebyshev_lane_past_the_block_is_summed_in_chunks():
+def test_chebyshev_lane_past_the_block_is_summed_in_chunks(monkeypatch):
     # sqrt(tau) has an unbounded derivative at 0, so its lane (exact value 2)
     # doubles far past QUAD_BLOCK nodes; no call may hold more than the block
     sizes = []
@@ -453,12 +463,13 @@ def test_chebyshev_lane_past_the_block_is_summed_in_chunks():
         sizes.append(rows.size * tau.size)
         return np.where(rows[:, None] == 1, np.sqrt(tau), np.exp(-tau))
 
-    got = _chebyshev_lanes(g, 2, 1e-12, 1 << 21, 16)
+    got = quad_chebyshev_endpoint(g, 2)
     assert sum(sizes) > 1 << 18  # lane 1 went past 2^16 nodes
     assert max(sizes) <= QUAD_BLOCK
     assert abs(got[1] - 2.0) < 1e-11
     # the chunks change the calls, not the values
-    assert got.tolist() == _chebyshev_lanes(g, 2, 1e-12, 1 << 21, 16, block=1 << 30).tolist()
+    monkeypatch.setattr(numerics, "QUAD_BLOCK", 1 << 30)
+    assert got.tolist() == quad_chebyshev_endpoint(g, 2).tolist()
 
 
 def test_chebyshev_lane_that_never_settles_raises():
@@ -468,7 +479,7 @@ def test_chebyshev_lane_that_never_settles_raises():
         return vals
 
     with pytest.raises(NonConvergence):
-        quad_chebyshev_endpoint(g, lanes=4, max_nodes=256)
+        quad_chebyshev_endpoint(g, 4, max_nodes=256)
 
 
 def test_chebyshev_nonfinite_lane_raises_at_once():
@@ -479,8 +490,24 @@ def test_chebyshev_nonfinite_lane_raises_at_once():
         return np.where(rows[:, None] == 1, np.nan, 1.0) + 0 * tau
 
     with pytest.raises(NonConvergence):
-        quad_chebyshev_endpoint(g, lanes=3)
+        quad_chebyshev_endpoint(g, 3)
     assert calls == [16]
+
+
+def test_hermite_reproduces_a_cubic_and_its_knots():
+    # a cubic with its exact slopes is its own Hermite interpolant, on one
+    # curve and on two columns at once; a query at a knot gives its value
+    x = np.array([-1.0, -0.3, 0.2, 0.25, 1.1, 2.0])
+    y = np.column_stack([x ** 3 - 2 * x + 0.5, 0.3 - x * x])
+    dydx = np.column_stack([3 * x * x - 2, -2 * x])
+    xq = np.linspace(-1.0, 2.0, 97)
+    exact = np.column_stack([xq ** 3 - 2 * xq + 0.5, 0.3 - xq * xq])
+    got = hermite(x, y, dydx, xq)
+    assert got.shape == (97, 2)
+    assert np.allclose(got, exact, rtol=0, atol=1e-14)
+    assert np.array_equal(hermite(x, y[:, 0], dydx[:, 0], xq), got[:, 0])
+    assert np.allclose(hermite(x, y, dydx, x), y, rtol=4 * np.finfo(float).eps, atol=0)
+    assert hermite(x, y[:, 1], dydx[:, 1], 0.25) == pytest.approx(y[3, 1], rel=1e-15)
 
 
 def test_ls_slope_matches_polyfit_and_needs_spread_x():
