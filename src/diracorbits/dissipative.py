@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -156,10 +155,12 @@ def polar_field(params: DissipativeParams):
 
 
 def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9) -> int:
-    """Count strict sign alternations of one component with hysteresis.
+    """Count strict sign alternations of one component of a trajectory's samples, with hysteresis.
 
     A crossing counts only between samples whose magnitude exceeds the
-    deadband; excursions that never leave the deadband are ignored.
+    deadband; excursions that never leave the deadband are ignored. The
+    classifier counts the same way, but at the solver's step ends, which
+    see every zero of v (docs/decisions.md, "Decisions at step ends").
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
@@ -168,57 +169,56 @@ def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9)
     return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
-def _sign_flips(v: np.ndarray, last: np.ndarray, deadband: float):
-    """The samples where each column of v, (n, lanes), changes sign, as ``sign_changes`` counts.
+class _StepWatch:
+    """The ``stop`` of ``_solve``'s phase 1: reads every lane at each step end.
 
-    ``last`` holds each lane's sign before these samples (0 for none yet).
-    Returns an (n, lanes) bool array, true at each sample that makes a
-    change, and each lane's last sign. A sample within the deadband takes
-    the sign before it (a forward fill), and a change counts only between
-    two nonzero signs.
+    It counts the sign changes of v outside the deadband (a step end inside
+    it keeps the sign before it) and forms H. Only a lane's trap step, its
+    first step end with H <= 0, forms its grid samples, to find its first
+    grid time with H <= 0: the next one if the step holds none, since H
+    never rises. With ``side=None`` it stops at the step holding the
+    handoff, formed as ``start``; with ``side=k``, at the first step end
+    before ``t_max`` where every lane has H <= 0 or more than k changes.
     """
-    signs = np.empty((len(v) + 1, v.shape[1]))
-    signs[0] = last
-    np.copysign(np.abs(v) > deadband, v, out=signs[1:])
-    at = np.where(signs != 0, np.arange(len(signs))[:, None], 0)
-    np.maximum.accumulate(at, axis=0, out=at)
-    signs = np.take_along_axis(signs, at, axis=0)
-    return (signs[1:] != signs[:-1]) & (signs[:-1] != 0), signs[-1]
 
+    def __init__(self, params, grid, y0, side, deadband):
+        self.params, self.grid, self.side, self.deadband = params, grid, side, deadband
+        self.sign = np.copysign(np.abs(y0[1]) > deadband, y0[1])
+        self.count = np.zeros(y0.shape[1], dtype=int)
+        self.first = np.where(hamiltonian_t(params, 0.0, y0[0], y0[1]) <= 0.0, 0.0, np.nan)
+        self.first_end = np.full(y0.shape[1], np.nan)  # the trap step's end
+        self.t_old = 0.0
+        self.handoff = self.start = None
 
-def _side_stop(params: DissipativeParams, y0: np.ndarray, side: int | None, deadband: float):
-    """The ``stop`` of ``_solve``: true at the grid samples where every lane is decided.
-
-    A lane is decided once H <= 0 (it is trapped, so its count is final),
-    or, with ``side``, once v has changed sign more than ``side`` times
-    outside the deadband so far (a count over more samples is never
-    smaller). The count and each lane's last sign carry from one fill to
-    the next; H is evaluated on a whole fill only when every lane is
-    decided at its last sample, since H never rises.
-    """
-    en = partial(hamiltonian_t, params)
-    v0 = np.reshape(y0[1], (1, -1))
-    last = _sign_flips(v0, np.zeros(v0.shape[1]), deadband)[1]
-    count = 0
-
-    def stop(t, u, v):
-        nonlocal count, last
-        n = len(t)
-        t = t.reshape((-1,) + (1,) * (u.ndim - 1))
-        if side is not None:
-            flips, last = _sign_flips(v.reshape(n, -1), last, deadband)
-            before, count = count, count + flips.sum(axis=0)
-        decided = en(t[-1:], u[-1:], v[-1:]).reshape(-1) <= 0.0
-        if side is not None:
-            decided |= count > side
-        if not decided.all():
-            return np.zeros(n, dtype=bool)
-        decided = en(t, u, v).reshape(n, -1) <= 0.0
-        if side is not None:
-            decided |= before + np.cumsum(flips, axis=0) > side
-        return decided.all(axis=1)
-
-    return stop
+    def __call__(self, t, y, dense):
+        grid, (u, v) = self.grid, y
+        signs = np.copysign(np.abs(v) > self.deadband, v)
+        self.count += signs * self.sign < 0
+        self.sign = np.where(signs != 0, signs, self.sign)
+        new = (hamiltonian_t(self.params, t, u, v) <= 0.0) & np.isnan(self.first)
+        t_old, self.t_old = self.t_old, t
+        if new.any():
+            self.first_end[new] = t
+            # the step's grid samples; the last one is the last step's end
+            lo, hi = np.searchsorted(grid, [t_old, t], side="right")
+            at = np.zeros(new.sum(), dtype=int)
+            if hi > lo:
+                ys = dense(grid[lo:hi])
+                if hi == len(grid):
+                    ys[-1] = y
+                hit = hamiltonian_t(self.params, grid[lo:hi, None], ys[:, 0], ys[:, 1]) <= 0.0
+                at = np.where(hit[:, new].any(axis=0), hit[:, new].argmax(axis=0), hi - lo)
+            # none in the step: the next grid time, or t_max at the last step
+            self.first[new] = grid[np.minimum(lo + at, len(grid) - 1)]
+        if self.side is not None:
+            return t < grid[-1] and bool(np.all(~np.isnan(self.first) | (self.count > self.side)))
+        if np.isnan(self.first).any():
+            return False
+        self.handoff = max(self.first.max(), grid[1])
+        if self.handoff > t or self.handoff == grid[-1]:
+            return False
+        self.start = dense(np.array([self.handoff]))[0]
+        return True
 
 
 def shoot(
@@ -248,20 +248,8 @@ def shoot(
     overflows a few units later (t = 717.83 at m = 3, mu = 0.6) however
     the coupling is written.
     """
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    _check_work(params, mu, t_max, tol)
-
-    try:
-        traj = _solve(params, np.array([mu, mu]), t_max, tol, n_samples)
-    except IntegrationError as exc:
-        traj = exc.trajectory
-        if traj is None or len(traj) < 2:
-            raise
-
-    return replace(_outcomes(params, [mu], traj, thresholds)[0], trajectory=traj)
+    return _shoot_lanes(params, [mu], t_max, thresholds, tol=tol, n_samples=n_samples,
+                        keep=True)[0][0]
 
 
 def _solve(
@@ -272,61 +260,66 @@ def _solve(
     n_samples: int,
     side: int | None = None,
     deadband: float = Thresholds().deadband,
-    window_only: bool = False,
-) -> Trajectory:
-    """Solve from y0 (one lane, or a (2, lanes) stack) at t = 0 to ``t_max``.
+    keep: bool = False,
+) -> tuple[Trajectory, np.ndarray, np.ndarray]:
+    """Solve from the (2, lanes) stack y0 at t = 0 to ``t_max`` on ``n_samples`` grid times.
 
+    Returns the trajectory, and each lane's k and first grid time with
+    H <= 0 (NaN for none), read at phase 1's step ends by ``_StepWatch``.
     Phase 1 integrates ``time_field``. With ``side=None`` it ends at the
-    first grid sample where H <= 0 on every lane. Each lane is then
-    trapped: u and v keep their signs and u^2 + v^2 > 0 (docs/decisions.md,
-    "The trap stop"). Phase 2 continues from that sample in ``polar_field``
-    on the rest of the grid, and its samples are mapped back to (u, v),
-    with H formed from (t, rho, phi). A lane that never traps keeps phase 1
-    to ``t_max``. An IntegrationError in phase 2 carries both phases joined:
-    phase 2's formed samples and step ends.
-
-    With ``window_only`` phase 2 forms only the grid samples of the last
-    TAIL_WINDOW time units, all that ``_outcomes`` reads of a trapped tail
-    (docs/decisions.md, "A sweep forms only the tail it reads"): the
-    trajectory is phase 1 followed by those samples, and its steps and
-    formed samples are the doubles of the whole tail's.
-
-    With ``side=k`` phase 1 ends at the first grid sample where every lane
-    has H <= 0 or more than k sign changes of v outside ``deadband`` so far
-    (``_side_stop``), and the solve returns there: each lane's count is
-    then final, or already known to exceed k.
+    handoff, the first grid time after t = 0 where every lane has H <= 0
+    and is trapped (docs/decisions.md, "The trap stop"), and phase 2 goes
+    on in ``polar_field``, its samples mapped back to (u, v). With
+    ``side=k`` the solve returns where every lane's side of k is decided.
+    ``keep`` forms every grid sample, and a failed solve returns its
+    partial trajectory, whose first H <= 0 may be a step end merged into
+    phase 1. Otherwise only the initial sample and the last TAIL_WINDOW
+    time units are formed, all that ``_outcomes`` reads, and a failure
+    raises (docs/decisions.md, "Decisions at step ends").
     """
     grid = np.linspace(0.0, t_max, n_samples)
-    head = integrate(time_field(params), y0, grid, tol=tol,
-                     energy=partial(hamiltonian_t, params),
-                     stop=_side_stop(params, y0, side, deadband))
-    if side is not None or head.terminal_reason != "stopped":
-        return head
-    # only the samples reached are kept, so phase 1's full-grid array goes
-    head = replace(head, states=head.states.copy())
-    u, v = head.states[-1]
+    w = 1 if keep else max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), 1)
+    watch = _StepWatch(params, grid, y0, side, deadband)
+    try:
+        head = integrate(time_field(params), y0, np.concatenate([grid[:1], grid[w:]]),
+                         tol=tol, stop=watch)
+    except IntegrationError as exc:
+        if not keep or exc.trajectory is None or len(exc.trajectory) < 2:
+            raise
+        first = np.fmin(watch.first, watch.first_end)
+        return _with_energy(params, exc.trajectory), watch.count, first
+    if watch.start is None:
+        return _with_energy(params, head), watch.count, watch.first
+    u, v = watch.start
     start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
-    # phase 2 starts at phase 1's last sample, grid[n - 1]
-    n = len(head)
-    tail = grid[n - 1:]
-    if window_only:
-        window = max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), n)
-        tail = np.concatenate([grid[n - 1:n], grid[window:]])
+    # phase 1's samples up to the handoff, grid[j]
+    j = int(np.searchsorted(grid, watch.handoff))
+    n = int(np.searchsorted(head.t, watch.handoff, side="right"))
+    head = _with_energy(params, replace(head, t=head.t[:n], states=head.states[:n]))
+    times = np.concatenate([grid[j:j + 1], grid[max(w, j + 1):]])
     try:
         # the polar trajectory is passed unbound, for _join to free
-        return _join(params, head, integrate(polar_field(params), start, tail, tol=tol))
+        traj = _join(params, head, integrate(polar_field(params), start, times, tol=tol))
     except IntegrationError as exc:
-        if exc.trajectory is not None:
-            exc.trajectory = _join(params, head, exc.trajectory)
-        raise
+        if not keep or exc.trajectory is None:
+            raise
+        traj = _join(params, head, exc.trajectory)
+    return traj, watch.count, watch.first
+
+
+def _with_energy(params: DissipativeParams, traj: Trajectory) -> Trajectory:
+    """``traj`` with H at each sample; states are (n, 2, lanes)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = hamiltonian_t(params, traj.t[:, None], traj.states[:, 0], traj.states[:, 1])
+    return replace(traj, energy=energy)
 
 
 def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory) -> Trajectory:
     """``head`` followed by ``polar`` after its first sample, in (u, v).
 
-    ``polar`` starts at ``head``'s last sample and may hold only some
-    samples of the grid (the tail window of a sweep, or the formed samples
-    and step ends of a failed solve); only those are mapped.
+    ``polar`` starts at the handoff, and either may hold only some samples
+    of the grid (the tail window of a sweep, or the formed samples and step
+    ends of a failed solve); only those are mapped.
     H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with
     N the coupling of ``polar_field``: it never forms z^(m/(m-1)), which
     overflows from t ~ 700 on. H and the mapped samples are written into
@@ -375,24 +368,20 @@ def _check_work(params: DissipativeParams, mu: float, t_max: float, tol: Toleran
             f"at least {need:.3g} step attempts; max_steps is {tol.max_steps}")
 
 
-def _outcomes(
-    params: DissipativeParams, mus: list[float], traj: Trajectory, thresholds: Thresholds
-) -> list[ShootingOutcome]:
+def _outcomes(params: DissipativeParams, mus: list[float], traj: Trajectory, ks: np.ndarray,
+              first: np.ndarray, thresholds: Thresholds) -> list[ShootingOutcome]:
     """The classification rules of ``shoot`` applied to every lane of ``traj`` at once.
 
-    k is each lane's ``sign_changes`` of v, and the class comes from the
+    ``ks`` and ``first`` come from ``_solve``. The class comes from the
     first H <= 0 or else the decay test on u^2 + v^2 at the end. The
-    envelope is the least-squares slope of ln(u^2+v^2) over the last
-    TAIL_WINDOW time units, formed on that window alone: None with fewer
-    than 10 positive samples there, or when their times do not spread (a
-    horizon of a few float spacings).
+    envelope is the least-squares
+    slope of ln(u^2+v^2) over the last TAIL_WINDOW time units, formed on
+    that window alone: None with fewer than 10 positive samples there, or
+    when their times do not spread (a horizon of a few float spacings).
     """
     n = len(traj)
     u, v = traj.u.reshape(n, -1), traj.v.reshape(n, -1)
     energy = traj.energy.reshape(n, -1)
-    ks = _sign_flips(v, np.zeros(v.shape[1]), thresholds.deadband)[0].sum(axis=0)
-    nonpos = energy <= 0.0
-    first = nonpos.argmax(axis=0)
     with np.errstate(over="ignore"):
         z_final = u[-1] ** 2 + v[-1] ** 2
     t_end = float(traj.t[-1])
@@ -405,7 +394,7 @@ def _outcomes(
         # ln z as 2 ln r stays finite where z = r^2 overflows, as near t = 710
         slope = (ls_slope(t_tail[pos], 2 * np.log(r[pos, i]))
                  if np.count_nonzero(pos) >= 10 else None)
-        if nonpos[first[i], i]:
+        if not math.isnan(first[i]):
             cls = "A"
         elif (
             z_final[i] < thresholds.decay_threshold
@@ -422,7 +411,7 @@ def _outcomes(
             t_end=t_end,
             H_tail=float(energy[-1, i]),
             envelope=slope,
-            first_nonpositive_H=float(traj.t[first[i]]) if cls == "A" else None,
+            first_nonpositive_H=float(first[i]) if cls == "A" else None,
         ))
     return outcomes
 
@@ -444,14 +433,15 @@ def boundary_bisect(
     first exceeds the target, gaining 4 bits per round; the last round uses
     only as many points as reaching ``tol`` needs. Each point takes a side
     by its sign-change count alone, so a solve (the end check's too) ends
-    once every lane's side is decided: H <= 0 (k is final then) or more
-    than k sign changes so far (``_solve`` with ``side=k``). The counts,
-    and so the brackets, are those of solves run to the trap on every lane.
+    at the first step end where every lane's side is decided: H <= 0 (k is
+    final then) or more than k sign changes so far (``_solve`` with
+    ``side=k``). The counts, and so the brackets, are those of solves run
+    to the trap on every lane.
     A round with a lane that is neither keeps running to ``t_max``. Such
     lanes are expected near the boundary, where the decaying layer lives:
     the lanes that are not class A are returned in the diagnostics, from
-    every round but those whose stacked solve ended at that stop (a round
-    shot lane by lane after a failed stacked solve is listed too). So a
+    every round but those whose solve ended at that stop (a round shot
+    lane by lane after a failed solve is listed too). So a
     lane above k that never traps, in a round whose other lanes are all
     decided, ends that round early and is not listed. The loop also ends
     when the bracket holds no double between its ends, so a ``tol`` below
@@ -553,11 +543,11 @@ def classify_sweep(
     All lanes are integrated together as one stacked system, so the step
     sizes are shared and each lane's floats differ slightly from a lone
     ``shoot``. Once every lane has H <= 0 the stack goes on to ``t_max`` in
-    ``polar_field``, as ``shoot`` does, but forms only the samples of the
-    last TAIL_WINDOW time units there, all that the classification reads
-    of a trapped tail; the outcomes are the doubles of a solve that forms
-    them all. A grid with a lane that never traps runs in (u, v)
-    throughout. If the stacked solve fails, each lane is shot on its own.
+    ``polar_field``, as ``shoot`` does, but only the samples the
+    classification reads are formed; the outcomes are the doubles of a
+    solve that forms them all. A grid with a lane that never traps runs in
+    (u, v) throughout. If the stacked solve fails, each lane is shot on
+    its own.
     ``jobs`` is deprecated and ignored: the stacked solve is already
     faster than a process pool, and its output does not depend on it.
     """
@@ -576,29 +566,41 @@ def _shoot_lanes(
     t_max: float,
     thresholds: Thresholds,
     side: int | None = None,
+    tol: Tolerances = Tolerances(),
+    n_samples: int = 4001,
+    keep: bool = False,
 ) -> tuple[list[ShootingOutcome], bool]:
-    """Classify each mu as ``shoot`` does, all lanes in one stacked solve.
+    """Classify each mu as ``shoot`` does, all lanes in one stacked solve (``_solve``).
 
-    The solve is ``_solve``'s: in (u, v) up to the first grid sample where
-    H <= 0 on every lane, then in ``polar_field`` to ``t_max``. With
-    ``side=k`` it ends at the first sample where every lane has H <= 0 or
-    more than k sign changes: H never rises again and keeps kappa*u*v > 0,
-    so a trapped lane's k, class and first nonpositive H are final there,
-    and a lane above k keeps ``k > side``. If the stacked solve fails, in
-    either coordinate system, each lane is shot on its own.
+    With ``side=k`` the solve ends at the first step end where every lane
+    has H <= 0 or more than k sign changes: H never rises again and keeps
+    kappa*u*v > 0, so a trapped lane's k, class and first nonpositive H
+    are final there, and a lane above k keeps ``k > side``. ``keep`` (one
+    lane: ``shoot``) attaches the whole trajectory and classifies a failed
+    solve from its partial one; otherwise, if the solve fails in either
+    coordinate system, each lane is shot on its own.
 
-    Returns the outcomes in ``mus`` order and whether the stacked solve
-    ended at that ``side`` stop, where an untrapped lane was cut short.
+    Returns the outcomes in ``mus`` order and whether the solve ended at
+    that ``side`` stop, where an untrapped lane was cut short.
     """
     if any(not mu > 0 for mu in mus):
         raise ValueError("mu must be positive")
     if not mus:
         return [], False
-    _check_work(params, max(mus), t_max, Tolerances())
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    _check_work(params, max(mus), t_max, tol)
     try:
-        traj = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001, side,
-                      thresholds.deadband, window_only=True)
+        traj, ks, first = _solve(params, np.array([mus, mus]), t_max, tol, n_samples, side,
+                                 thresholds.deadband, keep)
     except IntegrationError:
+        if keep:
+            raise
         return [replace(shoot(params, mu, t_max, thresholds), trajectory=None)
                 for mu in mus], False
-    return _outcomes(params, mus, traj, thresholds), traj.terminal_reason == "stopped"
+    outs = _outcomes(params, mus, traj, ks, first, thresholds)
+    if keep:
+        n = len(traj)
+        traj = replace(traj, states=traj.states.reshape(n, 2), energy=traj.energy.reshape(n))
+        outs = [replace(outs[0], trajectory=traj)]
+    return outs, traj.terminal_reason == "stopped"

@@ -45,8 +45,8 @@ _C = _dop853.C.tolist()
 _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
 
 PlanarField = Callable[[float, float, float], tuple[float, float]]
-EnergyFn = Callable[[float, float, float], float]
-StopFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+DenseFn = Callable[[np.ndarray], np.ndarray]
+StopFn = Callable[[float, np.ndarray, DenseFn], bool]
 
 
 class IntegrationError(RuntimeError):
@@ -92,8 +92,8 @@ class Trajectory:
 
     ``states`` has shape (n, 2), or (n, 2, lanes) for a stacked solve, so
     ``u`` and ``v`` have shape (n,) or (n, lanes); ``energy`` holds the
-    governing Hamiltonian recomputed at each sample (NaN when no energy
-    callback was supplied).
+    governing Hamiltonian at each sample where the caller forms it
+    (``integrate`` leaves it NaN).
     """
 
     t: np.ndarray
@@ -120,7 +120,6 @@ def integrate(
     y0: Sequence[float],
     t_eval: Sequence[float],
     tol: Tolerances = Tolerances(),
-    energy: EnergyFn | None = None,
     stop: StopFn | None = None,
 ) -> Trajectory:
     """Integrate a planar field with DOP853 (Dormand-Prince 8(5,3)).
@@ -136,23 +135,23 @@ def integrate(
 
     ``y0`` is one state (u, v) or a (2, n) array of n independent lanes,
     solved together as one 2n-dimensional system; ``field(t, u, v)`` then
-    receives u and v as arrays of length n (one lane gets Python floats).
+    receives u and v as arrays of length n, or Python floats when n is 1.
     The solve runs from ``t_eval[0]`` to ``t_eval[-1]``, and the samples
     are formed at exactly the times in ``t_eval`` (at least 2, finite and
     increasing), from the 7th-order dense output of each step; that costs
     3 more field evaluations per step that reaches a new sample, so a step
     with no sample in it builds no dense output. Stepping never reads the
     dense output, so the steps, and the sample at each time, do not depend
-    on the other times. ``energy(t, u, v)``, when given, is called once on
-    the sample arrays and stored on the trajectory.
+    on the other times. ``Trajectory.energy`` is left NaN.
 
-    ``stop(t, u, v)``, when given, is called once per dense-output fill on
-    all of that fill's new samples: t has shape (n,), and u and v have
-    shape (n,) or (n, lanes). The samples after the initial one and before
-    the last reach it in time order, each exactly once, so ``stop`` may
-    keep state from one fill to the next. It returns n booleans, and the
-    solve ends at the first true one: the trajectory is cut at that sample
-    and carries ``terminal_reason="stopped"``.
+    ``stop(t, y, dense)``, when given, is called after every accepted step,
+    the last one included: t is the step's end, y the state there, shaped
+    like y0, and ``dense(ts)`` the step's interpolant at times ts inside the
+    step, shaped (len(ts),) + y0.shape and valid during the call only. The
+    interpolant's 3 field evaluations are paid at most once per step, and
+    the step's own samples share them. A true return ends the solve: the
+    trajectory holds the samples up to t and carries
+    ``terminal_reason="stopped"``.
 
     Raises StepLimitExceeded once ``tol.max_steps`` step attempts are spent
     (checked between steps), and NonFiniteState when the state turns
@@ -180,10 +179,10 @@ def integrate(
         """The field at the flat state y, written into the flat array ``out``."""
         try:
             # one lane runs on Python floats, several on numpy arrays
-            if y0.ndim == 2:
-                out[:lanes], out[lanes:] = field(t, y[:lanes], y[lanes:])
-            else:
+            if lanes == 1:
                 out[0], out[1] = field(t, *y.tolist())
+            else:
+                out[:lanes], out[lanes:] = field(t, y[:lanes], y[lanes:])
         except OverflowError:
             out[:] = np.inf
 
@@ -197,15 +196,17 @@ def integrate(
     # for the failure path; the array doubles in place when full
     ends = np.empty((64, 1 + y0.size))
 
+    def trajectory(t, ys, reason):
+        return Trajectory(t, ys, np.full(ys.shape[:1] + shape[1:], np.nan), accepted,
+                          attempts - accepted, reason)
+
     def partial(reason: str) -> Trajectory:
         # the formed samples merged with the accepted step ends, so sparse
         # times still show the path to the failure
         t = np.concatenate([t_eval[:filled], ends[:accepted, 0]])
         ys = np.concatenate([states[:filled], ends[:accepted, 1:].reshape((-1,) + shape)])
         t, first = np.unique(t, return_index=True)
-        ys = ys[first]
-        return Trajectory(t, ys, _energies(energy, t, ys), accepted,
-                          attempts - accepted, reason)
+        return trajectory(t, ys[first], reason)
 
     with np.errstate(over="ignore", invalid="ignore"):
         t, y = t0, y0.ravel()
@@ -256,21 +257,31 @@ def integrate(
                 states[-1] = y.reshape(shape)
             else:
                 end = int(np.searchsorted(t_eval, t, side="right"))
+            coef = None  # the step's interpolant, formed on first use
+
+            def dense(ts, out=None):
+                """The step's interpolant at ts, by Horner's rule, written into ``out``."""
+                nonlocal coef
+                if coef is None:
+                    coef = _interpolant(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf)
+                x = ((np.asarray(ts, dtype=float) - t_old) / h)[:, None]
+                x1 = 1 - x
+                out = np.empty((len(x), y.size)) if out is None else out
+                out.fill(0.0)
+                for i, c in enumerate(coef[::-1]):
+                    out += c
+                    out *= x if i % 2 == 0 else x1
+                out += y_old
+                return out.reshape((-1,) + shape)
+
             if end > filled:
-                _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf,
-                              t_eval[filled:end], flat[filled:end])
-                if stop is not None:
-                    fill = states[filled:end]
-                    hit = np.flatnonzero(stop(t_eval[filled:end], fill[:, 0], fill[:, 1]))
-                    if hit.size:
-                        n = filled + int(hit[0]) + 1
-                        t, ys = t_eval[:n], states[:n]
-                        return Trajectory(t, ys, _energies(energy, t, ys), accepted,
-                                          attempts - accepted, "stopped")
+                dense(t_eval[filled:end], flat[filled:end])
             filled = end
+            if stop is not None and stop(t, y.reshape(shape), dense):
+                n = len(t_eval) if t >= t1 else end
+                return trajectory(t_eval[:n], states[:n], "stopped")
             if t >= t1:
-                return Trajectory(t_eval, states, _energies(energy, t_eval, states),
-                                  accepted, attempts - accepted)
+                return trajectory(t_eval, states, "completed")
 
 
 def _initial_step(rhs, t0, y0, f0, interval, rtol, atol) -> float:
@@ -324,8 +335,8 @@ def _error_norm(KT, h, scale) -> float:
     return abs(h) * err5_2 / math.sqrt((err5_2 + 0.01 * err3_2) * scale.size)
 
 
-def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf, ts, out) -> None:
-    """The step's 7th-order interpolant at times ``ts``, one row per time of ``out``."""
+def _interpolant(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf) -> np.ndarray:
+    """The coefficients of the step's 7th-order interpolant; fills K rows 13-15."""
     for s in range(_dop853.N_STAGES + 1, _dop853.N_STAGES_EXTENDED):
         np.dot(KT[s], _A_ROWS[s], out=buf)
         buf *= h
@@ -337,21 +348,7 @@ def _dense_output(rhs, t_old, y_old, f_old, h, y, f, K, KT, buf, ts, out) -> Non
     F[1] = h * f_old - delta_y
     F[2] = 2 * delta_y - h * (f + f_old)
     F[3:] = h * np.dot(_dop853.D, K)
-    x = ((ts - t_old) / h)[:, None]
-    x1 = 1 - x
-    out.fill(0.0)
-    for i, coef in enumerate(F[::-1]):
-        out += coef
-        out *= x if i % 2 == 0 else x1
-    out += y_old
-
-
-def _energies(energy: EnergyFn | None, t: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """One call of ``energy`` on the sample arrays; t is broadcast over lanes."""
-    if energy is None:
-        return np.full(states.shape[:1] + states.shape[2:], np.nan)
-    t = t.reshape((-1,) + (1,) * (states.ndim - 2))
-    return np.asarray(energy(t, states[:, 0], states[:, 1]), dtype=float)
+    return F
 
 
 def bracketed_roots(f, x1, x2, f1, f2, xtol: float, max_steps: int) -> np.ndarray:

@@ -139,3 +139,35 @@ def vector_field_rescaled(m: int, eps: float, t: float, state):
     nl = math.cosh(s) ** (-1 / (m - 1)) * z ** (1 / (m - 1))
     kap = eps ** (2 / (m - 1)) * (m - 2) / 2
     return nl * V - kap * U, kap * V - nl * U
+
+
+def sign_change_events(m: int, mu: float, t_max: float) -> int:
+    """The zeros of v on the dissipative orbit from (mu, mu), up to its trap.
+
+    scipy's solve_ivp with DOP853 at rtol = atol = 1e-11 and a
+    terminal-free event v = 0, ended by a terminal event H = 0 crossed
+    downward (after which u v > 0, so v keeps its sign) or at ``t_max``.
+    The field and H are written out from the module docstring, in (u, v),
+    and no sample grid is involved.
+    """
+    from scipy.integrate import solve_ivp
+
+    kappa, c, e = (m - 2) / 2, -1 / (m - 1), 1 / (m - 1)
+
+    def rhs(t, y):
+        u, v = y
+        nl = math.cosh(t) ** c * (u * u + v * v) ** e
+        return [nl * v - kappa * u, kappa * v - nl * u]
+
+    def v_zero(t, y):
+        return y[1]
+
+    def trap(t, y):
+        u, v = y
+        z = u * u + v * v
+        return -kappa * u * v + (m - 1) / (2 * m) * math.cosh(t) ** c * z ** (m * e)
+
+    trap.terminal, trap.direction = True, -1
+    sol = solve_ivp(rhs, (0.0, t_max), [mu, mu], method="DOP853", rtol=1e-11, atol=1e-11,
+                    events=[v_zero, trap])
+    return len(sol.t_events[0])

@@ -39,7 +39,6 @@ from diracorbits.autonomous import (
 from diracorbits.clifford import build_rep
 from diracorbits.dissipative import DissipativeParams, shoot, time_field
 from diracorbits.numerics import Tolerances, Trajectory, integrate
-from diracorbits.autonomous import hamiltonian as autonomous_hamiltonian
 from diracorbits.autonomous import time_field as autonomous_field
 
 M3 = AutonomousParams(3)
@@ -554,7 +553,6 @@ def test_integrated_orbit_profile_round_trip():
         (float(u0), float(v0)),
         np.linspace(0.0, float(2 * eta), 801),
         Tolerances(1e-12, 1e-12),
-        energy=lambda t, u, v: autonomous_hamiltonian(M3, u, v),
     )
     prof = profile_from_phase("autonomous", 3, traj)
     back = phase_from_profile(prof)

@@ -352,9 +352,9 @@ def test_periodic_extension_consistency():
 
 
 def test_energy_conservation_along_flow():
-    traj = integrate(time_field(M3), (0.3, 0.3), np.linspace(0.0, 50.0, 5001),
-                     energy=lambda t, u, v: hamiltonian(M3, u, v))
-    assert np.max(np.abs(traj.energy - traj.energy[0])) <= 1e-8
+    traj = integrate(time_field(M3), (0.3, 0.3), np.linspace(0.0, 50.0, 5001))
+    energy = hamiltonian(M3, traj.u, traj.v)
+    assert np.max(np.abs(energy - energy[0])) <= 1e-8
 
 
 def test_time_reversal_symmetry():

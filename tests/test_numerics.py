@@ -58,13 +58,16 @@ def test_integrator_order_on_linear_problem():
 
 
 def test_energy_stamps_match_recomputation():
+    # integrate leaves the energy NaN, one per sample; a caller forms it on
+    # the sample arrays, and that equals a sample-by-sample recomputation
     def en(t, u, v):
         return u * u + v * v
 
-    traj = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), np.linspace(0.0, 3.0, 1001),
-                     energy=en)
+    traj = integrate(lambda t, u, v: (-v, u), (1.0, 0.0), np.linspace(0.0, 3.0, 1001))
+    assert traj.energy.shape == traj.t.shape and np.all(np.isnan(traj.energy))
+    stamps = en(traj.t, traj.u, traj.v)
     recomputed = np.array([en(t, s[0], s[1]) for t, s in zip(traj.t, traj.states)])
-    assert np.max(np.abs(traj.energy - recomputed)) <= 1e-12
+    assert np.max(np.abs(stamps - recomputed)) <= 1e-12
 
 
 def test_step_limit_carries_partial_trajectory():
@@ -131,44 +134,87 @@ def test_nonfinite_input_rejected(y0, t_span):
         integrate(lambda t, u, v: (v, -u), y0, t_span)
 
 
-def test_stop_ends_at_first_sample_where_it_holds():
+def test_stop_ends_at_first_step_end_where_it_holds():
     # saddle lanes v = v0 e^t; "every lane has v >= 1" stays true once true
     y0 = np.array([[1.0, 1.0, 1.0], [0.1, 0.2, 0.4]])
     args = (lambda t, u, v: (-u, v), y0, np.linspace(0.0, 5.0, 501))
-    full = integrate(*args)
+    ends = []
+
+    def record(t, y, dense):
+        ends.append((t, y.copy()))
+        return False
+
+    full = integrate(*args, stop=record)
     seen = []
 
-    def stop(t, u, v):
-        assert t.shape == u.shape[:1] == v.shape[:1] and u.shape[1:] == (3,)
-        seen.extend(t)
-        return np.all(v >= 1.0, axis=1)
+    def stop(t, y, dense):
+        assert y.shape == (2, 3)
+        seen.append((t, y.copy()))
+        return bool(np.all(y[1] >= 1.0))
 
     cut = integrate(*args, stop=stop)
-    first = int(np.nonzero(np.all(full.v >= 1.0, axis=1))[0][0])
+    first = next(i for i, (t, y) in enumerate(ends) if np.all(y[1] >= 1.0))
+    t_stop = ends[first][0]
+    n = int(np.searchsorted(full.t, t_stop, side="right"))
     assert cut.terminal_reason == "stopped"
-    assert len(cut) == first + 1
-    assert np.array_equal(cut.t, full.t[: first + 1])
-    assert np.array_equal(cut.states, full.states[: first + 1])
-    assert cut.steps_accepted < full.steps_accepted
-    # every sample after the initial one reaches stop exactly once, in time
-    # order, up to the stop; the rest of its fill may follow
-    assert len(seen) >= first
-    assert seen == list(full.t[1: len(seen) + 1])
+    assert np.array_equal(cut.t, full.t[:n]) and cut.t[-1] <= t_stop < full.t[n]
+    assert np.array_equal(cut.states, full.states[:n])
+    assert cut.steps_accepted == first + 1 < full.steps_accepted
+    # every accepted step reaches stop exactly once, in time order, up to the stop
+    assert len(seen) == first + 1
+    assert all(a == c and np.array_equal(b, d) for (a, b), (c, d) in zip(seen, ends))
 
 
 def test_stop_that_never_fires_is_bit_identical():
-    def en(t, u, v):
-        return u * u + v * v
-
     args = (lambda t, u, v: (-v, u), np.array([[1.0, 0.5], [0.0, 0.2]]),
             np.linspace(0.0, 7.0, 1001))
-    plain = integrate(*args, energy=en)
-    never = integrate(*args, energy=en, stop=lambda t, u, v: False)
-    for name in ("t", "states", "energy"):
+    plain = integrate(*args)
+    never = integrate(*args, stop=lambda t, y, dense: False)
+    for name in ("t", "states"):
         assert np.array_equal(getattr(plain, name), getattr(never, name))
+    assert np.all(np.isnan(plain.energy)) and np.all(np.isnan(never.energy))
     assert (plain.steps_accepted, plain.steps_rejected, plain.terminal_reason) == (
         never.steps_accepted, never.steps_rejected, never.terminal_reason)
     assert never.terminal_reason == "completed"
+
+
+def test_dense_gives_the_stored_samples_and_shares_their_field_evaluations():
+    # dense(ts) at a step's own sample times gives the doubles integrate
+    # stores there, and however often the hook calls it, a step whose samples
+    # formed the interpolant pays no more field evaluations
+    grid = np.linspace(0.0, 6.0, 2001)
+    y0 = np.array([[1.0, 0.3], [0.0, -0.2]])
+    formed = {}
+    t_old = [0.0]
+
+    def reread(t, y, dense):
+        ts = grid[(grid > t_old[0]) & (grid <= t) & (grid < grid[-1])]
+        t_old[0] = t
+        for _ in range(2 if ts.size else 0):
+            rows = dense(ts)
+            assert rows.shape == (ts.size, 2, 2)
+            formed.update(zip(ts.tolist(), rows))
+        return False
+
+    def twice(t, y, dense):
+        dense(np.array([t]))
+        dense(np.array([t]))
+        return False
+
+    field, plain_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
+    plain = integrate(field, y0, grid)
+    field, hook_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
+    integrate(field, y0, grid, stop=reread)
+    assert len(hook_calls) == len(plain_calls)
+    assert len(formed) == len(grid) - 2
+    for t, row in zip(plain.t[1:-1], plain.states[1:-1]):
+        assert np.array_equal(formed[t], row)
+    # with no sample in a step, its first dense call pays 3 evaluations, once
+    field, calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
+    plain = integrate(field, y0, grid[[0, -1]])
+    field, again = _counted(lambda t, u, v: (-v - 0.1 * u, u))
+    integrate(field, y0, grid[[0, -1]], stop=twice)
+    assert len(again) - len(calls) == 3 * plain.steps_accepted
 
 
 def _counted(field):
@@ -195,10 +241,12 @@ def test_first_sample_forms_the_full_runs_rows_from_it(first):
 
     y0, grid = np.array([[1.0, 0.3], [0.0, -0.2]]), np.linspace(0.0, 4.0, 1001)
     rows = [0, *range(first, len(grid))]
-    full = integrate(field, y0, grid, energy=en)
-    part = integrate(field, y0, grid[rows], energy=en)
-    for name in ("t", "states", "energy"):
+    full = integrate(field, y0, grid)
+    part = integrate(field, y0, grid[rows])
+    for name in ("t", "states"):
         assert np.array_equal(getattr(part, name), getattr(full, name)[rows])
+    assert np.array_equal(en(part.t[:, None], part.states[:, 0], part.states[:, 1]),
+                          en(full.t[:, None], full.states[:, 0], full.states[:, 1])[rows])
     assert (part.steps_accepted, part.steps_rejected, part.terminal_reason) == (
         full.steps_accepted, full.steps_rejected, full.terminal_reason)
 
@@ -207,19 +255,23 @@ def test_first_sample_forms_the_full_runs_rows_from_it(first):
 def test_first_sample_saves_the_dense_output_of_each_skipped_step(first):
     # a step with no sample time in it skips its 3 dense-output stages: on
     # the grid less samples 1 .. first - 1, those are the steps whose fills
-    # in the whole grid's run all lie before grid[first]
-    fills = []
+    # in the whole grid's run all lie before grid[first]; a hook that never
+    # calls dense costs nothing
+    ends = [0.0]
 
-    def record(t, u, v):
-        fills.append(t[-1])
-        return np.zeros(len(t), dtype=bool)
+    def record(t, y, dense):
+        ends.append(t)
+        return False
 
     grid = np.linspace(0.0, 30.0, 1001)
     field, full_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
     integrate(field, (1.0, 0.0), grid, stop=record)
     field, part_calls = _counted(lambda t, u, v: (-v - 0.1 * u, u))
     integrate(field, (1.0, 0.0), grid[[0, *range(first, len(grid))]])
-    skipped = sum(1 for t in fills if t < grid[first])
+    # the dense samples of the step ending at ends[i] are
+    # grid[reached[i-1]:reached[i]]; the last sample is the last step's end
+    reached = np.minimum(np.searchsorted(grid, ends, side="right"), len(grid) - 1)
+    skipped = int(np.sum((reached[1:] > reached[:-1]) & (reached[1:] <= first)))
     assert skipped > 0
     assert len(full_calls) - len(part_calls) == 3 * skipped
 
@@ -246,8 +298,9 @@ def test_blowup_before_the_first_sample_keeps_only_formed_states():
 
 
 def _scipy_dop853(field, y0, t_grid, tol=Tolerances(), stop=None):
-    """Times, samples and step counts of scipy.integrate.DOP853 driven step by
-    step with dense output at the times ``t_grid``, as ``integrate`` once did."""
+    """Times, samples, step counts and step ends of scipy.integrate.DOP853
+    driven step by step with dense output at the times ``t_grid``, and a
+    per-step ``stop`` as ``integrate`` calls it."""
     from scipy.integrate import DOP853
 
     y0 = np.asarray(y0, dtype=float)
@@ -266,38 +319,49 @@ def _scipy_dop853(field, y0, t_grid, tol=Tolerances(), stop=None):
         solver = DOP853(rhs, t_grid[0], y0.ravel(), t_grid[-1], rtol=tol.rel_tol,
                         atol=tol.abs_tol)
     nfev0, filled, accepted, dense, n_out = solver.nfev, 1, 0, 0, n_samples
+    ends = []
+
+    def interpolant(ts):
+        nonlocal dense
+        dense += 1
+        return solver.dense_output()(ts).T.reshape((-1,) + shape)
+
     while solver.status == "running":
         solver.step()
         assert solver.status != "failed"
         accepted += 1
+        ends.append((solver.t, solver.y.copy()))
         if solver.status == "finished":
             end = n_samples - 1
             states[-1] = solver.y.reshape(shape)
         else:
             end = int(np.searchsorted(t_grid, solver.t, side="right"))
         if end > filled:
-            dense += 1
-            ys = solver.dense_output()(t_grid[filled:end])
-            states[filled:end] = ys.T.reshape((-1,) + shape)
-            if stop is not None:
-                fill = states[filled:end]
-                hit = np.flatnonzero(stop(t_grid[filled:end], fill[:, 0], fill[:, 1]))
-                if hit.size:
-                    n_out = filled + int(hit[0]) + 1
-                    break
-            filled = end
+            states[filled:end] = interpolant(t_grid[filled:end])
+        filled = end
+        if stop is not None and stop(solver.t, solver.y.reshape(shape), interpolant):
+            n_out = n_samples if solver.status == "finished" else end
+            break
     # 12 field evaluations per step attempt, 3 per dense output
     attempts = (solver.nfev - nfev0 - 3 * dense) // 12
-    return t_grid[:n_out], states[:n_out], accepted, attempts - accepted
+    return t_grid[:n_out], states[:n_out], accepted, attempts - accepted, ends
 
 
-def _assert_same_as_scipy(field, y0, t_eval, **kw):
-    traj = integrate(field, y0, t_eval, **kw)
-    kw.pop("energy", None)
-    t, states, accepted, rejected = _scipy_dop853(field, y0, t_eval, **kw)
+def _assert_same_as_scipy(field, y0, t_eval, stop=None, **kw):
+    ends = []
+
+    def record(t, y, dense):
+        ends.append((t, y.ravel().copy()))
+        return stop is not None and stop(t, y, dense)
+
+    traj = integrate(field, y0, t_eval, stop=record, **kw)
+    t, states, accepted, rejected, scipy_ends = _scipy_dop853(field, y0, t_eval, stop=stop, **kw)
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.states, states)
     assert (traj.steps_accepted, traj.steps_rejected) == (accepted, rejected)
+    # every step end, to the bit
+    assert len(ends) == len(scipy_ends)
+    assert all(a == c and np.array_equal(b, d) for (a, b), (c, d) in zip(ends, scipy_ends))
     return traj
 
 
@@ -327,8 +391,8 @@ def test_stop_run_matches_scipy_dop853_bit_for_bit():
     en = partial(hamiltonian_t, params)
     mus = np.geomspace(0.2, 10.0, 15)
     traj = _assert_same_as_scipy(time_field(params), np.array([mus, mus]),
-                                 np.linspace(0.0, 60.0, 4001), energy=en,
-                                 stop=lambda t, u, v: np.all(en(t[:, None], u, v) <= 0.0, axis=1))
+                                 np.linspace(0.0, 60.0, 4001),
+                                 stop=lambda t, y, dense: bool(np.all(en(t, y[0], y[1]) <= 0.0)))
     assert traj.terminal_reason == "stopped" and traj.t[-1] < 60.0
 
 
