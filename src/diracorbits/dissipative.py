@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -85,6 +85,12 @@ class Thresholds:
     decay_threshold: float = 1e-6
     fit_tol: float = 0.2
     deadband: float = 1e-9
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,9 @@ class _StepWatch:
     it keeps the sign before it) and forms H. Only a lane's trap step, its
     first step end with H <= 0, forms its grid samples, to find its first
     grid time with H <= 0: the next one if the step holds none, since H
-    never rises. With ``side=None`` it stops at the step holding the
-    handoff, formed as ``start``; with ``side=k``, at the first step end
-    before ``t_max`` where every lane has H <= 0 or more than k changes.
+    never rises. It stops at the first step end before ``t_max`` where
+    every lane is decided: it has H <= 0, or, with ``side=k``, more than k
+    changes. ``t`` and ``y`` hold the last step end and the state there.
     """
 
     def __init__(self, params, grid, y0, side, deadband):
@@ -187,8 +193,7 @@ class _StepWatch:
         self.count = np.zeros(y0.shape[1], dtype=int)
         self.first = np.where(hamiltonian_t(params, 0.0, y0[0], y0[1]) <= 0.0, 0.0, np.nan)
         self.first_end = np.full(y0.shape[1], np.nan)  # the trap step's end
-        self.t_old = 0.0
-        self.handoff = self.start = None
+        self.t, self.y = 0.0, y0
 
     def __call__(self, t, y, dense):
         grid, (u, v) = self.grid, y
@@ -196,7 +201,7 @@ class _StepWatch:
         self.count += signs * self.sign < 0
         self.sign = np.where(signs != 0, signs, self.sign)
         new = (hamiltonian_t(self.params, t, u, v) <= 0.0) & np.isnan(self.first)
-        t_old, self.t_old = self.t_old, t
+        t_old, self.t, self.y = self.t, t, y
         if new.any():
             self.first_end[new] = t
             # the step's grid samples; the last one is the last step's end
@@ -210,15 +215,10 @@ class _StepWatch:
                 at = np.where(hit[:, new].any(axis=0), hit[:, new].argmax(axis=0), hi - lo)
             # none in the step: the next grid time, or t_max at the last step
             self.first[new] = grid[np.minimum(lo + at, len(grid) - 1)]
+        decided = ~np.isnan(self.first)
         if self.side is not None:
-            return t < grid[-1] and bool(np.all(~np.isnan(self.first) | (self.count > self.side)))
-        if np.isnan(self.first).any():
-            return False
-        self.handoff = max(self.first.max(), grid[1])
-        if self.handoff > t or self.handoff == grid[-1]:
-            return False
-        self.start = dense(np.array([self.handoff]))[0]
-        return True
+            decided |= self.count > self.side
+        return t < grid[-1] and bool(decided.all())
 
 
 def shoot(
@@ -234,13 +234,15 @@ def shoot(
     Class A: H reaches a nonpositive value (the orbit is then unbounded).
     I-candidate: H stays positive, u^2+v^2 falls below decay_threshold,
     and the tail decay rate of ln(u^2+v^2) is within fit_tol of -(m-2).
-    Otherwise undetermined at the horizon. A NonFiniteState blow-up after
-    H <= 0 still classifies as A from the partial trajectory.
+    Otherwise undetermined at the horizon. A solve that fails (a blow-up,
+    or ``tol.max_steps`` spent) is classified from its partial trajectory;
+    a field that is not finite at (mu, mu) raises NonFiniteState.
 
-    The orbit is followed in (u, v) until the first grid sample with
-    H <= 0, and from there to ``t_max`` in ``polar_field``, which needs
-    fewer steps on the growing trapped tail (``_solve``). The trajectory
-    holds both phases on the one grid, in (u, v), with their steps summed.
+    The orbit is followed in (u, v) until the end of the step where H
+    first is <= 0, and from there to ``t_max`` in ``polar_field``, which
+    needs fewer steps on the growing trapped tail (``_solve``). The
+    trajectory holds both phases on the one grid, in (u, v), with their
+    steps summed.
 
     No orbit is followed past the float range: the coupling's cosh(t)
     overflows at t = 710.48, where a longer t_max ends with H_tail < 0.
@@ -267,44 +269,41 @@ def _solve(
     Returns the trajectory, and each lane's k and first grid time with
     H <= 0 (NaN for none), read at phase 1's step ends by ``_StepWatch``.
     Phase 1 integrates ``time_field``. With ``side=None`` it ends at the
-    handoff, the first grid time after t = 0 where every lane has H <= 0
-    and is trapped (docs/decisions.md, "The trap stop"), and phase 2 goes
-    on in ``polar_field``, its samples mapped back to (u, v). With
-    ``side=k`` the solve returns where every lane's side of k is decided.
-    ``keep`` forms every grid sample, and a failed solve returns its
-    partial trajectory, whose first H <= 0 may be a step end merged into
-    phase 1. Otherwise only the initial sample and the last TAIL_WINDOW
-    time units are formed, all that ``_outcomes`` reads, and a failure
-    raises (docs/decisions.md, "Decisions at step ends").
+    trap step's end, the first step end before ``t_max`` where every lane
+    has H <= 0 (docs/decisions.md, "The trap stop"), and phase 2 goes on
+    from the state there in ``polar_field``, its samples mapped back to
+    (u, v). With ``side=k`` the solve returns where every lane's side of k
+    is decided. ``keep`` forms every grid sample; otherwise only the
+    initial sample and the last TAIL_WINDOW time units are formed, all
+    that ``_outcomes`` reads. A solve that fails in either phase returns
+    its partial trajectory, the formed samples merged with the step ends,
+    and a lane whose first grid time with H <= 0 lies past its end reports
+    its trap step's end instead (docs/decisions.md, "Handoff at the trap
+    step; one failure rule"); a failure that carries no trajectory raises.
     """
     grid = np.linspace(0.0, t_max, n_samples)
     w = 1 if keep else max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), 1)
+    times = np.concatenate([grid[:1], grid[w:]])
     watch = _StepWatch(params, grid, y0, side, deadband)
+    head = None
     try:
-        head = integrate(time_field(params), y0, np.concatenate([grid[:1], grid[w:]]),
-                         tol=tol, stop=watch)
-    except IntegrationError as exc:
-        if not keep or exc.trajectory is None or len(exc.trajectory) < 2:
-            raise
-        first = np.fmin(watch.first, watch.first_end)
-        return _with_energy(params, exc.trajectory), watch.count, first
-    if watch.start is None:
-        return _with_energy(params, head), watch.count, watch.first
-    u, v = watch.start
-    start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
-    # phase 1's samples up to the handoff, grid[j]
-    j = int(np.searchsorted(grid, watch.handoff))
-    n = int(np.searchsorted(head.t, watch.handoff, side="right"))
-    head = _with_energy(params, replace(head, t=head.t[:n], states=head.states[:n]))
-    times = np.concatenate([grid[j:j + 1], grid[max(w, j + 1):]])
-    try:
+        head = _with_energy(params, integrate(time_field(params), y0, times, tol=tol,
+                                              stop=watch))
+        if side is not None or head.terminal_reason != "stopped":
+            return head, watch.count, watch.first
+        u, v = watch.y
+        start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
+        times = np.concatenate([[watch.t], times[times > watch.t]])
         # the polar trajectory is passed unbound, for _join to free
         traj = _join(params, head, integrate(polar_field(params), start, times, tol=tol))
+        return traj, watch.count, watch.first
     except IntegrationError as exc:
-        if not keep or exc.trajectory is None:
+        if exc.trajectory is None:
             raise
-        traj = _join(params, head, exc.trajectory)
-    return traj, watch.count, watch.first
+        traj = (_with_energy(params, exc.trajectory) if head is None
+                else _join(params, head, exc.trajectory))
+    first = np.where(watch.first > traj.t[-1], watch.first_end, watch.first)
+    return traj, watch.count, first
 
 
 def _with_energy(params: DissipativeParams, traj: Trajectory) -> Trajectory:
@@ -317,9 +316,10 @@ def _with_energy(params: DissipativeParams, traj: Trajectory) -> Trajectory:
 def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory) -> Trajectory:
     """``head`` followed by ``polar`` after its first sample, in (u, v).
 
-    ``polar`` starts at the handoff, and either may hold only some samples
-    of the grid (the tail window of a sweep, or the formed samples and step
-    ends of a failed solve); only those are mapped.
+    ``polar`` starts at phase 1's last step end, which ``head`` does not
+    hold, and either may hold only some samples of the grid (the tail
+    window of a sweep, or the formed samples and step ends of a failed
+    solve); only those are mapped.
     H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with
     N the coupling of ``polar_field``: it never forms z^(m/(m-1)), which
     overflows from t ~ 700 on. H and the mapped samples are written into
@@ -440,8 +440,8 @@ def boundary_bisect(
     A round with a lane that is neither keeps running to ``t_max``. Such
     lanes are expected near the boundary, where the decaying layer lives:
     the lanes that are not class A are returned in the diagnostics, from
-    every round but those whose solve ended at that stop (a round shot
-    lane by lane after a failed solve is listed too). So a
+    every round but those whose solve ended at that stop (a round whose
+    solve failed is classified from its partial one and listed). So a
     lane above k that never traps, in a round whose other lanes are all
     decided, ends that round early and is not listed. The loop also ends
     when the bracket holds no double between its ends, so a ``tol`` below
@@ -546,8 +546,8 @@ def classify_sweep(
     ``polar_field``, as ``shoot`` does, but only the samples the
     classification reads are formed; the outcomes are the doubles of a
     solve that forms them all. A grid with a lane that never traps runs in
-    (u, v) throughout. If the stacked solve fails, each lane is shot on
-    its own.
+    (u, v) throughout. A stacked solve that fails is classified from its
+    partial trajectory, as ``shoot``'s is.
     ``jobs`` is deprecated and ignored: the stacked solve is already
     faster than a process pool, and its output does not depend on it.
     """
@@ -576,9 +576,8 @@ def _shoot_lanes(
     has H <= 0 or more than k sign changes: H never rises again and keeps
     kappa*u*v > 0, so a trapped lane's k, class and first nonpositive H
     are final there, and a lane above k keeps ``k > side``. ``keep`` (one
-    lane: ``shoot``) attaches the whole trajectory and classifies a failed
-    solve from its partial one; otherwise, if the solve fails in either
-    coordinate system, each lane is shot on its own.
+    lane: ``shoot``) attaches the whole trajectory. A failed solve is
+    classified from its partial trajectory, whatever ``keep`` is.
 
     Returns the outcomes in ``mus`` order and whether the solve ended at
     that ``side`` stop, where an untrapped lane was cut short.
@@ -590,14 +589,8 @@ def _shoot_lanes(
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     _check_work(params, max(mus), t_max, tol)
-    try:
-        traj, ks, first = _solve(params, np.array([mus, mus]), t_max, tol, n_samples, side,
-                                 thresholds.deadband, keep)
-    except IntegrationError:
-        if keep:
-            raise
-        return [replace(shoot(params, mu, t_max, thresholds), trajectory=None)
-                for mu in mus], False
+    traj, ks, first = _solve(params, np.array([mus, mus]), t_max, tol, n_samples, side,
+                             thresholds.deadband, keep)
     outs = _outcomes(params, mus, traj, ks, first, thresholds)
     if keep:
         n = len(traj)

@@ -425,6 +425,15 @@ def _assert_one_usage_error(err):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--decay-threshold", "--fit-tol", "--deadband"])
+def test_negative_threshold_is_an_error(flag, capsys):
+    # Thresholds refuses it, as it refuses NaN, which made every k read 0
+    assert run("dissipative", "shoot", "--m", "3", flag, "-1") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert flag[2:].replace("-", "_") in lines[0]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name,flag", FLOAT_FLAGS)
 def test_non_finite_flag_is_usage_error(name, flag, value, capsys):

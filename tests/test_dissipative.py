@@ -32,7 +32,14 @@ from diracorbits.dissipative import (
     sign_changes,
     time_field,
 )
-from diracorbits.numerics import StepLimitExceeded, Tolerances, Trajectory, find_root, integrate
+from diracorbits.numerics import (
+    NonFiniteState,
+    StepLimitExceeded,
+    Tolerances,
+    Trajectory,
+    find_root,
+    integrate,
+)
 from oracles import sign_change_events, vector_field_rescaled
 
 P3 = DissipativeParams(3)
@@ -55,6 +62,15 @@ def test_params_kappa():
     assert DissipativeParams(4).kappa == 1.0
     with pytest.raises(ValueError):
         DissipativeParams(2)
+
+
+@pytest.mark.parametrize("field", ["decay_threshold", "fit_tol", "deadband"])
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+def test_thresholds_refuse_a_value_that_is_not_finite_or_is_negative(field, value):
+    # a NaN deadband made every k read 0
+    with pytest.raises(ValueError, match=field):
+        Thresholds(**{field: value})
+    assert getattr(Thresholds(**{field: 0.0}), field) == 0.0
 
 
 def test_hamiltonian_symmetric_start():
@@ -299,13 +315,17 @@ def test_shoot_horizon_too_short_is_undetermined():
 
 
 def test_shoot_huge_horizon_classifies_from_partial_trajectory():
-    # the field overflows near t = 710; the 4001-point grid over [0, 1e300]
-    # holds only t = 0 by then, so the class must come from the step ends
-    out = shoot(P3, 0.6, t_max=1e300)
-    assert out.trajectory.terminal_reason == "non_finite"
-    assert 700.0 < out.t_end < 720.0
-    assert (out.k, out.cls) == (0, "A")
-    assert 0.8 < out.first_nonpositive_H < 1.0
+    # the field overflows near t = 710; the 4001-point grid holds only
+    # t = 0 by then, so the class must come from the step ends, and the
+    # trapped tail, followed from its trap step's end in log-polar
+    # coordinates, ends with a finite H < 0
+    for t_max in (3e6, 1e300):
+        out = shoot(P3, 0.6, t_max=t_max)
+        assert out.trajectory.terminal_reason == "non_finite"
+        assert 700.0 < out.t_end < 720.0
+        assert (out.k, out.cls) == (0, "A")
+        assert 0.8 < out.first_nonpositive_H < 1.0
+        assert math.isfinite(out.H_tail) and out.H_tail < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +452,6 @@ def test_boundary_bisect_ends_shoot_on_each_side(m, k, mu_lo, mu_hi):
     assert shoot(params, lo).k <= k and shoot(params, hi).k >= k + 1
 
 
-def test_boundary_bisect_falls_back_to_single_shoots(monkeypatch):
-    import diracorbits.dissipative as dis
-
-    def stacked_fails(field, y0, *args, **kwargs):
-        if np.size(y0) > 2:
-            raise StepLimitExceeded("stacked solve refused")
-        return integrate(field, y0, *args, **kwargs)
-
-    monkeypatch.setattr(dis, "integrate", stacked_fails)
-    lo, hi, _ = boundary_bisect(P3, 0, 0.6, 0.8, tol=1e-4, t_max=30.0)
-    assert lo <= mu_star(3) <= hi and hi - lo <= 1e-4
-    assert shoot(P3, lo, t_max=30.0).k == 0 and shoot(P3, hi, t_max=30.0).k >= 1
-
-
 def _one_lane_bisect(mu, t_max):
     # the bracket [mu - 1e-6, mu + 1e-6] at tol 1.5e-6 takes one round of
     # one lane, its midpoint mu; at m = 3 both ends lie on either side of
@@ -462,26 +468,37 @@ def test_boundary_bisect_lists_an_undecided_lane():
     assert diag[0]["class"] != "A" and diag[0]["mu"] == lo
 
 
-def test_boundary_bisect_lists_lanes_shot_one_by_one(monkeypatch):
-    # a failed solve of a round, which forms only its tail window, is shot
-    # again lane by lane (the round here has one lane); a lone solve that
-    # fails too (here at t = 12, as the coupling's cosh overflows at
-    # t = 710.48) still classifies from its partial trajectory, and its lane
-    # is listed
+def _fail_at_12(monkeypatch):
+    """Make every solve that reaches t = 12 fail there, carrying its
+    trajectory cut at t = 12; returns the list of the solves made."""
     import diracorbits.dissipative as dis
-    from diracorbits.numerics import NonFiniteState
 
-    def stacked_fails(field, y0, span, *args, **kwargs):
-        if np.size(y0) > 2:
-            raise StepLimitExceeded("stacked solve refused")
-        if span[-1] <= 12.0:
-            return integrate(field, y0, span, *args, **kwargs)
-        cut = np.append(span[span < 12.0], 12.0)
-        raise NonFiniteState("cut", integrate(field, y0, cut, *args, **kwargs))
+    calls = []
 
-    monkeypatch.setattr(dis, "integrate", stacked_fails)
-    _, _, diag = _one_lane_bisect(mu_star(3) - 1e-12, 30.0)
-    assert [(d["k"], d["class"] != "A", d["t_end"]) for d in diag] == [(0, True, 12.0)]
+    def fails_at_12(field, y0, t_eval, *args, **kwargs):
+        calls.append(None)
+        if t_eval[-1] <= 12.0:
+            return integrate(field, y0, t_eval, *args, **kwargs)
+        cut = integrate(field, y0, np.append(t_eval[t_eval < 12.0], 12.0), *args, **kwargs)
+        if cut.terminal_reason == "stopped":
+            return cut  # the solve's stop came first
+        raise NonFiniteState("cut", cut)
+
+    monkeypatch.setattr(dis, "integrate", fails_at_12)
+    return calls
+
+
+def test_boundary_bisect_lists_the_lanes_of_a_failed_round(monkeypatch):
+    # every solve fails at t = 12; the end check, mu -+ 2e-6, is decided
+    # before, but the round's lane at mu traps only at t = 13.2. The round
+    # is classified from its partial solve, with no lone re-solve, and
+    # lists its lanes that are not class A: mu, and mu + 1e-6 above k
+    calls = _fail_at_12(monkeypatch)
+    mu = mu_star(3) - 1e-12
+    _, _, diag = boundary_bisect(P3, 0, mu - 2e-6, mu + 2e-6, tol=4e-6 / 3.5, t_max=30.0)
+    assert len(calls) == 2
+    assert [(d["k"], d["class"] != "A", d["t_end"]) for d in diag] == [(0, True, 12.0),
+                                                                       (1, True, 12.0)]
 
 
 def test_boundary_bisect_leaves_out_a_lane_cut_short_above_k():
@@ -802,21 +819,59 @@ def test_sweep_one_lane_equals_shoot():
         assert classify_sweep(P3, [mu])[0].to_json_dict() == shoot(P3, mu).to_json_dict()
 
 
-def test_sweep_falls_back_to_single_shoots(monkeypatch):
+@pytest.mark.parametrize("grid, solves", [
+    # every lane traps before t = 12, so the log-polar phase fails there
+    ([0.6, 1.0], 2),
+    # the lane at mu*(3) - 1e-12 traps only at t = 13.2, so the Cartesian
+    # phase fails
+    ([0.6, mu_star(3) - 1e-12, 1.0], 1),
+])
+def test_sweep_classifies_a_failed_stack_from_its_partial_solve(monkeypatch, grid, solves):
+    truth = [(o.k, o.cls) for o in classify_sweep(P3, grid, t_max=12.0)]
+    calls = _fail_at_12(monkeypatch)
+    outs = classify_sweep(P3, grid, t_max=30.0)
+    assert len(calls) == solves
+    assert [(o.k, o.cls) for o in outs] == truth
+    assert all(o.t_end == 12.0 and o.trajectory is None for o in outs)
+    assert all(o.first_nonpositive_H <= 12.0 for o in outs if o.cls == "A")
+
+
+def test_a_failure_with_no_trajectory_raises(monkeypatch):
+    # nothing to classify from: the typed error, with no lone re-solve
     import diracorbits.dissipative as dis
 
-    def stacked_fails(field, y0, *args, **kwargs):
-        if np.size(y0) > 2:
-            raise StepLimitExceeded("stacked solve refused")
-        return integrate(field, y0, *args, **kwargs)
+    calls = []
 
-    monkeypatch.setattr(dis, "integrate", stacked_fails)
-    grid = [0.6, 1.0]
-    outs = classify_sweep(P3, grid, t_max=30.0)
-    for out, mu in zip(outs, grid):
-        ref = shoot(P3, mu, t_max=30.0)
-        assert out.to_json_dict() == ref.to_json_dict()
-        assert out.trajectory is None
+    def fails(field, y0, *args, **kwargs):
+        calls.append(None)
+        raise NonFiniteState("no step taken")
+
+    monkeypatch.setattr(dis, "integrate", fails)
+    for run in (lambda: classify_sweep(P3, [0.6, 1.0]), lambda: shoot(P3, 0.6),
+                lambda: boundary_bisect(P3, 0, 0.6, 0.8)):
+        calls.clear()
+        with pytest.raises(NonFiniteState, match="no step taken"):
+            run()
+        assert len(calls) == 1
+
+
+def test_long_sweep_is_one_stacked_solve(monkeypatch):
+    # at t_max = 2000 the tail window lies past the coupling's overflow at
+    # t = 710.48: the stack's log-polar phase fails there and is classified
+    # from its partial solve, one Cartesian and one log-polar solve in all
+    import diracorbits.dissipative as dis
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dis, "integrate", counted)
+    outs = classify_sweep(P3, [0.5, 1.0, 2.0], t_max=2000.0)
+    assert len(calls) == 2
+    assert [(o.k, o.cls, o.first_nonpositive_H) for o in outs] == [
+        (0, "A", 0.0), (1, "A", 4.0), (2, "A", 5.0)]
 
 
 @pytest.mark.parametrize("m,mu,t_max,tol", [
