@@ -399,10 +399,12 @@ def solutions_count(
     still fall short of T (the floor clamped at SCAN_X_MIN), the count
     would miss roots, so it raises NonConvergence instead. It raises
     NonConvergence naming T and the floor, too, when the floor is past the
-    quadrature's reach. Every sign change is root-solved in x = ln K, where
-    eta is close to linear as K -> 0, by numerics.bracketed_roots from the
-    scan's own values, all roots together, so multiple roots per k (were
-    eta non-monotone) are all reported, flagged in the diagnostics.
+    quadrature's reach. eta falls monotonically (Chicone 1987), so each k
+    with T/k above the scan's least eta has one root, in the scan cell that
+    one search finds; a scan that does not fall strictly raises
+    NonConvergence. The roots are solved in x = ln K, where eta is close to
+    linear as K -> 0, by numerics.bracketed_roots from the scan's own
+    values, all together.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -421,43 +423,25 @@ def solutions_count(
         clamp = f", clamped from ln K = {x_want:.6g}" if x_want < x_lo else ""
         raise NonConvergence(f"eta at the scan floor K = {math.exp(x_lo):.6g}{clamp}, "
                              f"set by T = {T:.6g}, is past the quadrature's reach: {exc}") from exc
-    eta_min = float(eta.min())
-    if float(eta.max()) < T:
+    if not np.all(np.diff(eta) < 0):
+        raise NonConvergence(f"eta does not fall strictly along the scan from K = "
+                             f"{math.exp(x_lo):.6g} to K0, set by T = {T:.6g}: the count "
+                             f"needs a monotone period function")
+    if eta[0] < T:
         raise NonConvergence(f"eta = {eta[0]:.6g} at the scan floor K = {math.exp(x_lo):.6g} "
                              f"falls short of T = {T:.6g}: roots of eta = T/k lie below it")
 
-    ks: list[int] = []
-    idx: list[int] = []  # eta crosses T/k in (x[i], x[i + 1]) or equals it at x[i]
-    exact: list[bool] = []
-    failures: list[int] = []
-    multi: list[int] = []
-    k = 1
-    while T / k > eta_min:
-        diff = eta - T / k
-        on = diff[:-1] == 0.0
-        hits = np.flatnonzero(on | (diff[:-1] * diff[1:] < 0))
-        if hits.size == 0:
-            failures.append(k)
-        if hits.size > 1:
-            multi.append(k)
-        ks += [k] * hits.size
-        idx += hits.tolist()
-        exact += on[hits].tolist()
-        k += 1
-
-    idx_a, cross = np.array(idx, dtype=int), ~np.array(exact, dtype=bool)
-    K_root = np.exp(x[idx_a])
+    # every k with T/k above the scan's least eta, each in its cell eta[i] >= T/k > eta[i + 1]
+    k = np.arange(1, int(T / eta[-1]) + 2)
+    k = k[T / k > eta[-1]]
+    target = T / k
+    i = np.searchsorted(-eta, -target, side="right") - 1
+    K_root = np.exp(x[i])
+    cross = eta[i] != target
     if cross.any():
-        i, target = idx_a[cross], T / np.array(ks)[cross]
+        i, target = i[cross], target[cross]
         K_root[cross] = np.exp(bracketed_roots(
             lambda xs, live: _half_periods(params, np.exp(xs)) - target[live],
             x[i], x[i + 1], eta[i] - target, eta[i + 1] - target, ROOT_LN_TOL, ROOT_MAX_STEPS))
-    roots = [(kk, float(K)) for kk, K in zip(ks, K_root)]
-
-    count = 1 + len({kk for kk, _ in roots})
-    diagnostics = {
-        "eta_range": (eta_min, float(eta.max())),
-        "bracket_failures": failures,
-        "multi_root_k": multi,
-    }
-    return count, roots, diagnostics
+    roots = [(int(kk), float(K)) for kk, K in zip(k, K_root)]
+    return 1 + len(roots), roots, {"eta_range": (float(eta[-1]), float(eta[0]))}

@@ -132,8 +132,6 @@ def _autonomous_portrait(args, params: aut.AutonomousParams) -> int:
     field = aut.time_field(params)
     # closed orbits inside the homoclinic loop
     for K in np.linspace(0.2, 0.9, 4) * aut.k0(params):
-        if K >= aut.k0(params) * (1 - 1e-6):
-            continue
         _, traj = aut.orbit_reconstruct(params, float(K), n_samples=801)
         curves.append((traj.u, traj.v))
     # homoclinic loop
@@ -185,13 +183,12 @@ def _autonomous_homoclinic(args, params: aut.AutonomousParams) -> int:
 
 
 def _autonomous_bifurcation(args, params: aut.AutonomousParams) -> int:
-    count, roots, diag = aut.solutions_count(params, args.T)
+    count, roots, _ = aut.solutions_count(params, args.T)
     payload = {
         "m": params.m,
         "T": args.T,
         "count": count,
         "roots": [{"k": k, "K": K} for k, K in roots],
-        "multi_root_k": diag["multi_root_k"],
     }
     return _emit(args, payload)
 

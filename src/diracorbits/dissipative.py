@@ -38,7 +38,6 @@ __all__ = [
     "time_field",
     "polar_field",
     "shoot",
-    "sign_changes",
     "boundary_bisect",
     "rescaled_limit",
     "rescale_compare",
@@ -160,21 +159,6 @@ def polar_field(params: DissipativeParams):
     return field
 
 
-def sign_changes(traj: Trajectory, component: str = "v", deadband: float = 1e-9) -> int:
-    """Count strict sign alternations of one component of a trajectory's samples, with hysteresis.
-
-    A crossing counts only between samples whose magnitude exceeds the
-    deadband; excursions that never leave the deadband are ignored. The
-    classifier counts the same way, but at the solver's step ends, which
-    see every zero of v (docs/decisions.md, "Decisions at step ends").
-    """
-    if len(traj) == 0:
-        raise ValueError("trajectory is empty")
-    vals = traj.u if component == "u" else traj.v
-    signs = np.sign(vals[np.abs(vals) > deadband])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
 class _StepWatch:
     """The ``stop`` of ``_solve``'s phase 1: reads every lane at each step end.
 
@@ -287,10 +271,9 @@ def _solve(
     watch = _StepWatch(params, grid, y0, side, deadband)
     head = None
     try:
-        head = _with_energy(params, integrate(time_field(params), y0, times, tol=tol,
-                                              stop=watch))
+        head = integrate(time_field(params), y0, times, tol=tol, stop=watch)
         if side is not None or head.terminal_reason != "stopped":
-            return head, watch.count, watch.first
+            return _join(params, head), watch.count, watch.first
         u, v = watch.y
         start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
         times = np.concatenate([[watch.t], times[times > watch.t]])
@@ -300,22 +283,17 @@ def _solve(
     except IntegrationError as exc:
         if exc.trajectory is None:
             raise
-        traj = (_with_energy(params, exc.trajectory) if head is None
+        traj = (_join(params, exc.trajectory) if head is None
                 else _join(params, head, exc.trajectory))
     first = np.where(watch.first > traj.t[-1], watch.first_end, watch.first)
     return traj, watch.count, first
 
 
-def _with_energy(params: DissipativeParams, traj: Trajectory) -> Trajectory:
-    """``traj`` with H at each sample; states are (n, 2, lanes)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = hamiltonian_t(params, traj.t[:, None], traj.states[:, 0], traj.states[:, 1])
-    return replace(traj, energy=energy)
+def _join(params: DissipativeParams, head: Trajectory,
+          polar: Trajectory | None = None) -> Trajectory:
+    """``head`` with H at each sample, then ``polar`` after its first sample, in (u, v).
 
-
-def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory) -> Trajectory:
-    """``head`` followed by ``polar`` after its first sample, in (u, v).
-
+    States are (n, 2, lanes). Every exit of ``_solve`` comes through here.
     ``polar`` starts at phase 1's last step end, which ``head`` does not
     hold, and either may hold only some samples of the grid (the tail
     window of a sweep, or the formed samples and step ends of a failed
@@ -325,12 +303,16 @@ def _join(params: DissipativeParams, head: Trajectory, polar: Trajectory) -> Tra
     overflows from t ~ 700 on. H and the mapped samples are written into
     the output arrays, and a ``polar`` passed unbound is released here.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_head = hamiltonian_t(params, head.t[:, None], head.states[:, 0], head.states[:, 1])
+    if polar is None:
+        return replace(head, energy=h_head)
     n, m = len(head), params.m
     t = np.concatenate([head.t, polar.t[1:]])
     states = np.empty((len(t),) + head.states.shape[1:])
     states[:n] = head.states
     energy = np.empty(states.shape[:1] + states.shape[2:])
-    energy[:n] = head.energy
+    energy[:n] = h_head
     accepted = head.steps_accepted + polar.steps_accepted
     rejected = head.steps_rejected + polar.steps_rejected
     reason = polar.terminal_reason

@@ -381,13 +381,12 @@ def test_solutions_count_small_period():
 
 
 def test_solutions_count_t5():
-    count, roots, diag = solutions_count(M3, 5.0)
+    count, roots, _ = solutions_count(M3, 5.0)
     assert count == 3
     ks = sorted(k for k, _ in roots)
     assert ks == [1, 2]
     for k, K in roots:
         assert abs(half_period(M3, K) - 5.0 / k) < 1e-8
-    assert diag["multi_root_k"] == []
 
 
 @pytest.mark.parametrize("m,T", [(3, 8.342), (6, 6.0)])
@@ -408,9 +407,8 @@ def test_solutions_count_where_the_scan_reaches_tiny_k(m, T):
     # on the turning value s0 ~ K made the count raise or come out short;
     # at (2, 20) and (2, 22) a floor far below the k = 1 root raised
     params = AutonomousParams(m)
-    count, roots, diag = solutions_count(params, T)
+    count, roots, _ = solutions_count(params, T)
     assert count == math.ceil(T * math.sqrt(m - 1) / math.pi)
-    assert diag["bracket_failures"] == [] and diag["multi_root_k"] == []
     assert sorted(k for k, _ in roots) == list(range(1, count))
     for k, K in roots:
         assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
@@ -439,6 +437,24 @@ def test_solutions_count_with_a_floor_too_high_raises(m, T, monkeypatch):
     monkeypatch.setattr(aut, "SCAN_X_MIN", math.log(1e-3))
     with pytest.raises(NonConvergence, match="scan floor K = 0.001"):
         solutions_count(AutonomousParams(m), T)
+
+
+def test_solutions_count_refuses_a_scan_that_does_not_fall(monkeypatch):
+    # a bump back above T = 5 just past the k = 1 crossing gives that k
+    # three crossings; the count rests on a monotone eta (Chicone 1987) and
+    # checks it on the scan's own values
+    half_periods = aut._half_periods
+
+    def bumped(params, K):
+        eta = half_periods(params, K)
+        if K.size == aut.SCAN_POINTS:
+            i = np.flatnonzero(eta < 5.0)[0]
+            eta[i + 1] = eta[i - 1]
+        return eta
+
+    monkeypatch.setattr(aut, "_half_periods", bumped)
+    with pytest.raises(NonConvergence, match="does not fall strictly"):
+        solutions_count(M3, 5.0)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

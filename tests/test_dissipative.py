@@ -21,6 +21,7 @@ from diracorbits.dissipative import (
     DissipativeParams,
     TailTooShort,
     Thresholds,
+    _StepWatch,
     boundary_bisect,
     classify_sweep,
     envelope_check,
@@ -29,7 +30,6 @@ from diracorbits.dissipative import (
     rescale_compare,
     rescaled_limit,
     shoot,
-    sign_changes,
     time_field,
 )
 from diracorbits.numerics import (
@@ -154,24 +154,39 @@ def test_hamiltonian_pointwise_nonincreasing_in_t(t1, dt, u, v):
 # sign counting
 
 
+def _watch_count(v, t=None, deadband=1e-9):
+    """k that ``_StepWatch`` reads from v at t[0] and at the step ends t[1:].
+
+    v is (n,) or (n, lanes). u = 1e6 keeps H > 0 at every step end up to
+    t = 40, so no lane traps and the watch never forms grid samples.
+    """
+    v = np.asarray(v, dtype=float).reshape(len(v), -1)
+    t = np.arange(len(v), dtype=float) if t is None else np.asarray(t, dtype=float)
+    u = np.full(v.shape[1], 1e6)
+
+    def dense(ts):
+        raise AssertionError("a lane trapped")
+
+    watch = _StepWatch(P3, t, np.array([u, v[0]]), None, deadband)
+    for tj, vj in zip(t[1:], v[1:]):
+        watch(tj, np.array([u, vj]), dense)
+    return watch.count.tolist()
+
+
 def test_sign_changes_sine():
     t = np.linspace(0.0, 10.0, 4001)
-    traj = _traj_from_samples(t, np.cos(t), np.sin(t))
-    assert sign_changes(traj, "v", 1e-8) == 3
+    assert _watch_count(np.sin(t), t, 1e-8) == [3]
 
 
 def test_sign_changes_constant():
     t = np.linspace(0.0, 10.0, 101)
-    traj = _traj_from_samples(t, np.ones_like(t), 2 * np.ones_like(t))
-    assert sign_changes(traj, "v") == 0
-    assert sign_changes(traj, "u") == 0
+    assert _watch_count(2 * np.ones_like(t), t) == [0]
 
 
 def test_sign_changes_deadband_filters_noise():
     t = np.linspace(0.0, 1.0, 201)
     noise = 1e-12 * np.sin(300 * t)
-    traj = _traj_from_samples(t, np.ones_like(t), noise + 1e-13)
-    assert sign_changes(traj, "v", deadband=1e-9) == 0
+    assert _watch_count(noise + 1e-13, t, deadband=1e-9) == [0]
 
 
 def test_sign_changes_rescaled_limit():
@@ -180,9 +195,7 @@ def test_sign_changes_rescaled_limit():
     zeros = [math.pi / (4 * math.sqrt(2)) + j * math.pi / math.sqrt(2) for j in range(3)]
     assert all(z < 5.0 for z in zeros)
     t = np.linspace(0.0, 5.0, 8001)
-    vals = np.array([rescaled_limit(P3, tk) for tk in t])
-    traj = _traj_from_samples(t, vals[:, 0], vals[:, 1])
-    assert sign_changes(traj, "v", 1e-8) == 3
+    assert _watch_count(rescaled_limit(P3, t)[1], t, 1e-8) == [3]
 
 
 def _sign_changes_loop(vals, deadband):
@@ -197,16 +210,13 @@ def _sign_changes_loop(vals, deadband):
     return count
 
 
-@given(st.lists(st.sampled_from([-2.0, -1e-10, 0.0, 1e-10, 3.0, -5e-9, 5e-9]), max_size=40))
+@given(st.lists(st.sampled_from([-2.0, -1e-10, 0.0, 1e-10, 3.0, -5e-9, 5e-9]),
+                min_size=1, max_size=40))
 @settings(max_examples=100, deadline=None)
 def test_sign_changes_matches_loop_reference(vals):
-    t = np.arange(len(vals), dtype=float)
-    traj = _traj_from_samples(t, np.zeros(len(vals)), vals)
-    if not vals:
-        with pytest.raises(ValueError):
-            sign_changes(traj, "v", 1e-9)
-        return
-    assert sign_changes(traj, "v", 1e-9) == _sign_changes_loop(vals, 1e-9)
+    # the initial state and the step ends of one lane, and the mirror lane
+    want = _sign_changes_loop(vals, 1e-9)
+    assert _watch_count(np.column_stack([vals, np.negative(vals)])) == [want, want]
 
 
 # ---------------------------------------------------------------------------
