@@ -68,8 +68,8 @@ def ambient_dim(kind: str, m: int) -> int:
 
 
 def lambda_exp(kind: str, m: int) -> float:
-    """Exponent l in f1 = -u e^{l t}: (m-1)/2 autonomous, (m-2)/2 dissipative."""
-    return (m - 1) / 2 if kind == "autonomous" else (m - 2) / 2
+    """Exponent l in f1 = -u e^{l t}: (ambient_dim-1)/2, (m-1)/2 or (m-2)/2 by kind."""
+    return (ambient_dim(kind, m) - 1) / 2
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class SpinorProfile:
     def __post_init__(self):
         if self.kind not in ("autonomous", "dissipative"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if len(self.r) == 0:
-            raise EmptyTrajectory("profile has no samples")
+        if len(self.r) < 2:
+            raise EmptyTrajectory("profile needs at least 2 samples to interpolate")
         if not np.all(np.diff(self.r) > 0):
             raise ValueError("radii must be strictly increasing")
         if abs(np.linalg.norm(self.gamma0) - 1.0) > 1e-12:
@@ -188,8 +188,6 @@ def profile_from_phase(
     kind: str, m: int, traj: Trajectory, gamma0: np.ndarray | None = None
 ) -> SpinorProfile:
     """Map a phase-plane trajectory to the radial profile via r = e^{-t}."""
-    if len(traj) == 0:
-        raise EmptyTrajectory("trajectory has no samples")
     l = lambda_exp(kind, m)
     t = traj.t
     growth = np.exp(l * t)
@@ -236,8 +234,8 @@ def pde_residual(
     D_fd is sum_k alpha_k d/dx_k by central differences of step h. The
     profile is interpolated by its cubic Hermite in ln r
     (``SpinorProfile.at``). ``points`` is a nonempty (n, dim) array-like
-    and h a finite positive step. A NaN residual at any point makes the
-    result NaN.
+    and h a finite positive step; ``kind`` and ``m`` must be the
+    profile's. A NaN residual at any point makes the result NaN.
 
     All stencil points are evaluated in one array pass. Each value is the
     double that a point-by-point evaluation gives: the elementwise steps
@@ -245,6 +243,8 @@ def pde_residual(
     an alpha_k product is one exact product plus zeros, since each row of
     alpha_k holds a single entry in {+-1, +-i}.
     """
+    if (kind, m) != (profile.kind, profile.m):
+        raise ValueError(f"({kind!r}, {m}) is not the profile's ({profile.kind!r}, {profile.m})")
     dim = ambient_dim(kind, m)
     if rep.m != dim:
         raise ValueError(f"rep dimension {rep.m} != ambient dimension {dim}")

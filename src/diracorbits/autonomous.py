@@ -436,12 +436,9 @@ def solutions_count(
     k = k[T / k > eta[-1]]
     target = T / k
     i = np.searchsorted(-eta, -target, side="right") - 1
-    K_root = np.exp(x[i])
-    cross = eta[i] != target
-    if cross.any():
-        i, target = i[cross], target[cross]
-        K_root[cross] = np.exp(bracketed_roots(
-            lambda xs, live: _half_periods(params, np.exp(xs)) - target[live],
-            x[i], x[i + 1], eta[i] - target, eta[i + 1] - target, ROOT_LN_TOL, ROOT_MAX_STEPS))
+    # an exact hit, eta[i] == T/k, ends its bracket at x[i] before f is called
+    K_root = np.exp(bracketed_roots(
+        lambda xs, live: _half_periods(params, np.exp(xs)) - target[live],
+        x[i], x[i + 1], eta[i] - target, eta[i + 1] - target, ROOT_LN_TOL, ROOT_MAX_STEPS))
     roots = [(int(kk), float(K)) for kk, K in zip(k, K_root)]
     return 1 + len(roots), roots, {"eta_range": (float(eta[-1]), float(eta[0]))}

@@ -168,7 +168,8 @@ class _StepWatch:
     grid time with H <= 0: the next one if the step holds none, since H
     never rises. It stops at the first step end before ``t_max`` where
     every lane is decided: it has H <= 0, or, with ``side=k``, more than k
-    changes. ``t`` and ``y`` hold the last step end and the state there.
+    changes. ``ts`` and ``ys`` hold t = 0 and every step end, and the
+    state there: the last is the handoff, and a failed solve merges them.
     """
 
     def __init__(self, params, grid, y0, side, deadband):
@@ -177,7 +178,7 @@ class _StepWatch:
         self.count = np.zeros(y0.shape[1], dtype=int)
         self.first = np.where(hamiltonian_t(params, 0.0, y0[0], y0[1]) <= 0.0, 0.0, np.nan)
         self.first_end = np.full(y0.shape[1], np.nan)  # the trap step's end
-        self.t, self.y = 0.0, y0
+        self.ts, self.ys = [0.0], [y0]
 
     def __call__(self, t, y, dense):
         grid, (u, v) = self.grid, y
@@ -185,7 +186,9 @@ class _StepWatch:
         self.count += signs * self.sign < 0
         self.sign = np.where(signs != 0, signs, self.sign)
         new = (hamiltonian_t(self.params, t, u, v) <= 0.0) & np.isnan(self.first)
-        t_old, self.t, self.y = self.t, t, y
+        t_old = self.ts[-1]
+        self.ts.append(t)
+        self.ys.append(y)
         if new.any():
             self.first_end[new] = t
             # the step's grid samples; the last one is the last step's end
@@ -255,80 +258,65 @@ def _solve(
     Phase 1 integrates ``time_field``. With ``side=None`` it ends at the
     trap step's end, the first step end before ``t_max`` where every lane
     has H <= 0 (docs/decisions.md, "The trap stop"), and phase 2 goes on
-    from the state there in ``polar_field``, its samples mapped back to
-    (u, v). With ``side=k`` the solve returns where every lane's side of k
-    is decided. ``keep`` forms every grid sample; otherwise only the
-    initial sample and the last TAIL_WINDOW time units are formed, all
-    that ``_outcomes`` reads. A solve that fails in either phase returns
-    its partial trajectory, the formed samples merged with the step ends,
-    and a lane whose first grid time with H <= 0 lies past its end reports
-    its trap step's end instead (docs/decisions.md, "Handoff at the trap
-    step; one failure rule"); a failure that carries no trajectory raises.
+    from the state there in ``polar_field``. With ``side=k`` the solve
+    returns where every lane's side of k is decided. ``keep`` forms every
+    grid sample; otherwise only the initial sample and the last
+    TAIL_WINDOW time units are formed, all that ``_outcomes`` reads. A
+    failed solve returns its formed samples merged with the step ends of
+    both phases, and a lane whose first grid time with H <= 0 lies past
+    its end reports its trap step's end instead (docs/decisions.md, "One
+    exit from a dissipative solve"); a failure with no trajectory raises.
     """
     grid = np.linspace(0.0, t_max, n_samples)
     w = 1 if keep else max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), 1)
     times = np.concatenate([grid[:1], grid[w:]])
     watch = _StepWatch(params, grid, y0, side, deadband)
-    head = None
+    pieces = []
     try:
-        head = integrate(time_field(params), y0, times, tol=tol, stop=watch)
-        if side is not None or head.terminal_reason != "stopped":
-            return _join(params, head), watch.count, watch.first
-        u, v = watch.y
-        start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
-        times = np.concatenate([[watch.t], times[times > watch.t]])
-        # the polar trajectory is passed unbound, for _join to free
-        traj = _join(params, head, integrate(polar_field(params), start, times, tol=tol))
-        return traj, watch.count, watch.first
+        pieces.append(integrate(time_field(params), y0, times, tol=tol, stop=watch))
+        if side is None and pieces[0].terminal_reason == "stopped":
+            (u, v), t = watch.ys[-1], watch.ts[-1]
+            start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
+            times = np.concatenate([[t], times[times > t]])
+            pieces.append(integrate(polar_field(params), start, times, tol=tol))
     except IntegrationError as exc:
         if exc.trajectory is None:
             raise
-        traj = (_join(params, exc.trajectory) if head is None
-                else _join(params, head, exc.trajectory))
-    first = np.where(watch.first > traj.t[-1], watch.first_end, watch.first)
-    return traj, watch.count, first
+        pieces.append(exc.trajectory)
+        # phase 1's samples merged with its step ends, as integrate merges its own
+        head = pieces[0]
+        t, at = np.unique(np.concatenate([head.t, watch.ts]), return_index=True)
+        pieces[0] = replace(head, t=t, states=np.concatenate([head.states, watch.ys])[at])
+        traj = _join(params, *pieces)
+        return traj, watch.count, np.where(watch.first > traj.t[-1], watch.first_end, watch.first)
+    return _join(params, *pieces), watch.count, watch.first
 
 
 def _join(params: DissipativeParams, head: Trajectory,
           polar: Trajectory | None = None) -> Trajectory:
     """``head`` with H at each sample, then ``polar`` after its first sample, in (u, v).
 
-    States are (n, 2, lanes). Every exit of ``_solve`` comes through here.
-    ``polar`` starts at phase 1's last step end, which ``head`` does not
-    hold, and either may hold only some samples of the grid (the tail
-    window of a sweep, or the formed samples and step ends of a failed
-    solve); only those are mapped.
-    H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with
-    N the coupling of ``polar_field``: it never forms z^(m/(m-1)), which
-    overflows from t ~ 700 on. H and the mapped samples are written into
-    the output arrays, and a ``polar`` passed unbound is released here.
+    States are (n, 2, lanes); only t, the states, the steps and the
+    terminal reason of each piece are read. ``polar`` starts at phase 1's
+    last step end, which ``head`` holds only when the solve failed.
+    H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi),
+    with N the coupling of ``polar_field``: it never forms z^(m/(m-1)),
+    which overflows from t ~ 700 on.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h_head = hamiltonian_t(params, head.t[:, None], head.states[:, 0], head.states[:, 1])
-    if polar is None:
-        return replace(head, energy=h_head)
-    n, m = len(head), params.m
-    t = np.concatenate([head.t, polar.t[1:]])
-    states = np.empty((len(t),) + head.states.shape[1:])
-    states[:n] = head.states
-    energy = np.empty(states.shape[:1] + states.shape[2:])
-    energy[:n] = h_head
-    accepted = head.steps_accepted + polar.steps_accepted
-    rejected = head.steps_rejected + polar.steps_rejected
-    reason = polar.terminal_reason
-    with np.errstate(over="ignore", invalid="ignore"):
+        energy = hamiltonian_t(params, head.t[:, None], head.states[:, 0], head.states[:, 1])
+        if polar is None:
+            return replace(head, energy=energy)
+        m, t = params.m, polar.t[1:, None]
         rho, phi = polar.states[1:, 0], polar.states[1:, 1]
-        h = energy[n:]
-        np.exp(rho / (m - 1), out=h)
-        cosh_t = np.cosh(t[n:].reshape((-1,) + (1,) * (h.ndim - 1)))
-        h *= (m - 1) / (2 * m) * cosh_t ** (-1 / (m - 1))
-        h -= params.kappa / 2 * np.sin(2 * phi)
-        h *= np.exp(rho)
+        coupling = (m - 1) / (2 * m) * np.cosh(t) ** (-1 / (m - 1))
+        h = (np.exp(rho / (m - 1)) * coupling - params.kappa / 2 * np.sin(2 * phi)) * np.exp(rho)
         r = np.exp(0.5 * rho)
-        np.multiply(r, np.cos(phi, out=states[n:, 0]), out=states[n:, 0])
-        np.multiply(r, np.sin(phi, out=states[n:, 1]), out=states[n:, 1])
-        del polar, rho, phi, r
-    return Trajectory(t, states, energy, accepted, rejected, reason)
+        states = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+    return Trajectory(np.concatenate([head.t, polar.t[1:]]),
+                      np.concatenate([head.states, states]), np.concatenate([energy, h]),
+                      head.steps_accepted + polar.steps_accepted,
+                      head.steps_rejected + polar.steps_rejected, polar.terminal_reason)
 
 
 def _check_work(params: DissipativeParams, mu: float, t_max: float, tol: Tolerances) -> None:
@@ -361,9 +349,7 @@ def _outcomes(params: DissipativeParams, mus: list[float], traj: Trajectory, ks:
     that window alone: None with fewer than 10 positive samples there, or
     when their times do not spread (a horizon of a few float spacings).
     """
-    n = len(traj)
-    u, v = traj.u.reshape(n, -1), traj.v.reshape(n, -1)
-    energy = traj.energy.reshape(n, -1)
+    u, v, energy = traj.u, traj.v, traj.energy
     with np.errstate(over="ignore"):
         z_final = u[-1] ** 2 + v[-1] ** 2
     t_end = float(traj.t[-1])

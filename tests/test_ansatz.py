@@ -253,6 +253,19 @@ def test_lambda_exponents():
     assert lambda_exp("autonomous", 4) == 1.5
 
 
+def test_lambda_exponent_of_an_unknown_kind_raises():
+    # a misspelt kind was read as dissipative and gave 0.5
+    with pytest.raises(ValueError, match="unknown kind"):
+        lambda_exp("autonomus", 3)
+
+
+def test_profile_needs_two_samples():
+    # one sample has no Hermite cell: at() gave NaN with a RuntimeWarning
+    with pytest.raises(EmptyTrajectory):
+        SpinorProfile("autonomous", 3, np.array([1.0]), np.array([1.0]), np.array([0.5]),
+                      default_gamma0(2))
+
+
 def test_psi_abs_matches_eval_norm():
     rep = build_rep(3)
     prof = profile_from_phase("autonomous", 3, _homoclinic_trajectory(n=101))
@@ -439,6 +452,18 @@ def test_residual_keeps_a_nan_point():
     points = [[0.9, 0.0, 0.0], [0.5, 0.5, 0.0]]
     assert math.isnan(pde_residual("autonomous", 3, nan_f1, rep, points, h=1e-4))
     assert math.isfinite(pde_residual("autonomous", 3, prof, rep, points, h=1e-4))
+
+
+def test_residual_refuses_a_kind_or_m_that_is_not_the_profiles():
+    # an m = 4 dissipative profile read as ("autonomous", 3) shares its
+    # ambient dimension, so the stencil ran with the wrong exponent and h_nl
+    prof = profile_from_phase("dissipative", 4, shoot(DissipativeParams(4), 0.3, 12.0).trajectory)
+    rep = build_rep(3)
+    points = np.outer(np.geomspace(0.5, 0.25, 5), [1.0, 0.0, 0.0])
+    assert pde_residual("dissipative", 4, prof, rep, points, h=1e-3) < 2e-3
+    for kind, m in (("autonomous", 3), ("dissipative", 5), ("autonomous", 4)):
+        with pytest.raises(ValueError, match="is not the profile's"):
+            pde_residual(kind, m, prof, rep, points, h=1e-3)
 
 
 def test_residual_rejects_empty_or_misshapen_points():

@@ -457,6 +457,21 @@ def test_solutions_count_refuses_a_scan_that_does_not_fall(monkeypatch):
         solutions_count(M3, 5.0)
 
 
+def test_solutions_count_keeps_an_exact_hit_of_the_scan(monkeypatch):
+    # T = eta at a scan point: the k = 1 bracket has an end where eta - T is
+    # exactly 0, and bracketed_roots returns that point without solving.
+    # Below T ~ 3.3 the m = 3 scan starts at 1e-2 K0 whatever T is
+    x = np.linspace(math.log(1e-2 * k0(M3)), math.log(k0(M3) * (1.0 - 1e-8)), aut.SCAN_POINTS)
+    eta = _half_periods(M3, np.exp(x))
+    j = int(np.flatnonzero(eta < 3.0)[0])
+    calls = []
+    half_periods = aut._half_periods
+    monkeypatch.setattr(aut, "_half_periods", lambda p, K: calls.append(K.size) or half_periods(p, K))
+    count, roots, _ = solutions_count(M3, float(eta[j]))
+    assert (count, roots) == (2, [(1, float(np.exp(x[j])))])
+    assert calls == [aut.SCAN_POINTS]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.floats(0.1, 20.0))
 def test_solutions_count_matches_the_monotone_count(m, bound):

@@ -338,6 +338,20 @@ def test_shoot_huge_horizon_classifies_from_partial_trajectory():
         assert math.isfinite(out.H_tail) and out.H_tail < 0.0
 
 
+def test_a_failed_shoot_keeps_phase_one_step_ends():
+    # the log-polar phase fails at the overflow; the trajectory holds phase
+    # 1's step ends up to the handoff at the trap step's end, t = 0.9618,
+    # where it jumped from t = 0 to phase 2's first step end at 0.9995
+    traj = shoot(P3, 0.6, t_max=1e300).trajectory
+    assert np.all(np.diff(traj.t) > 0)
+    early = traj.t[(traj.t > 0.0) & (traj.t <= 0.96)]
+    assert len(early) >= 3
+    ref = integrate(time_field(P3), (0.6, 0.6), np.concatenate([[0.0], early]))
+    rows = np.searchsorted(traj.t, early)
+    assert np.allclose(traj.states[rows], ref.states[1:], rtol=0.0, atol=1e-8)
+    assert np.array_equal(traj.energy[rows], hamiltonian_t(P3, early, traj.u[rows], traj.v[rows]))
+
+
 # ---------------------------------------------------------------------------
 # invariants along shot trajectories
 
