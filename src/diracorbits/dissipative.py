@@ -45,7 +45,8 @@ __all__ = [
     "classify_sweep",
 ]
 
-# interior points classified per boundary_bisect round: 4 bits per solve
+# interior points classified per boundary_bisect round: 4 bits per round,
+# two rounds (255 lanes) and so 8 bits per solve
 BISECT_LANES = 15
 # step attempts per turn of the orbit near t = 0 are at least this many at
 # rtol 1e-10; measured no fewer than 17.4 for m = 3..12, mu = 10..1e4
@@ -163,13 +164,15 @@ class _StepWatch:
     """The ``stop`` of ``_solve``'s phase 1: reads every lane at each step end.
 
     It counts the sign changes of v outside the deadband (a step end inside
-    it keeps the sign before it) and forms H. Only a lane's trap step, its
-    first step end with H <= 0, forms its grid samples, to find its first
-    grid time with H <= 0: the next one if the step holds none, since H
-    never rises. It stops at the first step end before ``t_max`` where
-    every lane is decided: it has H <= 0, or, with ``side=k``, more than k
-    changes. ``ts`` and ``ys`` hold t = 0 and every step end, and the
-    state there: the last is the handoff, and a failed solve merges them.
+    it keeps the sign before it) and forms H. With ``side=None``, only a
+    lane's trap step, its first step end with H <= 0, forms its grid
+    samples, to find its first grid time with H <= 0: the next one if the
+    step holds none, since H never rises. With ``side=k`` no caller reads
+    that time, so the trap step's end stands for it and no sample is
+    formed. It stops at the first step end before ``t_max`` where every
+    lane is decided: it has H <= 0, or, with ``side=k``, more than k
+    changes. ``ts`` and ``ys`` hold t = 0 and every step end, and the state
+    there: the last is the handoff, and a failed solve merges them.
     """
 
     def __init__(self, params, grid, y0, side, deadband):
@@ -191,17 +194,20 @@ class _StepWatch:
         self.ys.append(y)
         if new.any():
             self.first_end[new] = t
-            # the step's grid samples; the last one is the last step's end
-            lo, hi = np.searchsorted(grid, [t_old, t], side="right")
-            at = np.zeros(new.sum(), dtype=int)
-            if hi > lo:
-                ys = dense(grid[lo:hi])
-                if hi == len(grid):
-                    ys[-1] = y
-                hit = hamiltonian_t(self.params, grid[lo:hi, None], ys[:, 0], ys[:, 1]) <= 0.0
-                at = np.where(hit[:, new].any(axis=0), hit[:, new].argmax(axis=0), hi - lo)
-            # none in the step: the next grid time, or t_max at the last step
-            self.first[new] = grid[np.minimum(lo + at, len(grid) - 1)]
+            if self.side is not None:
+                self.first[new] = t
+            else:
+                # the step's grid samples; the last one is the last step's end
+                lo, hi = np.searchsorted(grid, [t_old, t], side="right")
+                at = np.zeros(new.sum(), dtype=int)
+                if hi > lo:
+                    ys = dense(grid[lo:hi])
+                    if hi == len(grid):
+                        ys[-1] = y
+                    hit = hamiltonian_t(self.params, grid[lo:hi, None], ys[:, 0], ys[:, 1]) <= 0.0
+                    at = np.where(hit[:, new].any(axis=0), hit[:, new].argmax(axis=0), hi - lo)
+                # none in the step: the next grid time, or t_max at the last step
+                self.first[new] = grid[np.minimum(lo + at, len(grid) - 1)]
         decided = ~np.isnan(self.first)
         if self.side is not None:
             decided |= self.count > self.side
@@ -254,7 +260,8 @@ def _solve(
     """Solve from the (2, lanes) stack y0 at t = 0 to ``t_max`` on ``n_samples`` grid times.
 
     Returns the trajectory, and each lane's k and first grid time with
-    H <= 0 (NaN for none), read at phase 1's step ends by ``_StepWatch``.
+    H <= 0 (NaN for none; with ``side=k``, the end of the step where H
+    first is <= 0), read at phase 1's step ends by ``_StepWatch``.
     Phase 1 integrates ``time_field``. With ``side=None`` it ends at the
     trap step's end, the first step end before ``t_max`` where every lane
     has H <= 0 (docs/decisions.md, "The trap stop"), and phase 2 goes on
@@ -395,50 +402,99 @@ def boundary_bisect(
 ) -> tuple[float, float, list[dict]]:
     """Locate the mu where the sign-change count goes from <= k to >= k+1.
 
-    Requires k(mu_lo) <= k and k(mu_hi) >= k+1, checked by one 2-lane solve.
-    Each round classifies BISECT_LANES evenly spaced interior points of the
-    bracket [a, b] in one stacked solve and keeps the adjacent pair where k
-    first exceeds the target, gaining 4 bits per round; the last round uses
-    only as many points as reaching ``tol`` needs. Each point takes a side
-    by its sign-change count alone, so a solve (the end check's too) ends
-    at the first step end where every lane's side is decided: H <= 0 (k is
-    final then) or more than k sign changes so far (``_solve`` with
-    ``side=k``). The counts, and so the brackets, are those of solves run
-    to the trap on every lane.
-    A round with a lane that is neither keeps running to ``t_max``. Such
+    Requires finite 0 < mu_lo < mu_hi, checked before any solve, and
+    k(mu_lo) <= k and k(mu_hi) >= k+1, checked on the first solve. Each
+    round classifies BISECT_LANES evenly spaced interior points of the
+    bracket [a, b] and keeps the adjacent pair where k first exceeds the
+    target, gaining 4 bits; the last round uses only as many points as
+    reaching ``tol`` needs (``_round_points``). One stacked solve takes two
+    rounds, 8 bits: the points of [a, b] and, for each of its sub-intervals,
+    that sub-interval's own next-round points, 255 lanes in all. The
+    rounds are paired from the last one back, so the first solve holds the
+    end check and one round when the number of rounds is odd, two when it
+    is even. Each point takes a side by its sign-change count alone, so a
+    solve ends at the first step end where every lane's side is decided:
+    H <= 0 (k is final then) or more than k sign changes so far (``_solve``
+    with ``side=k``). The counts, and so the brackets, are those of one
+    round per solve, each run to the trap on every lane.
+    A solve with a lane that is neither keeps running to ``t_max``. Such
     lanes are expected near the boundary, where the decaying layer lives:
     the lanes that are not class A are returned in the diagnostics, from
-    every round but those whose solve ended at that stop (a round whose
-    solve failed is classified from its partial one and listed). So a
-    lane above k that never traps, in a round whose other lanes are all
-    decided, ends that round early and is not listed. The loop also ends
-    when the bracket holds no double between its ends, so a ``tol`` below
-    the float spacing returns adjacent doubles.
+    every round taken that still holds one where its solve ends, as when
+    the round is solved alone (a solve that failed is classified from its
+    partial one). So a lane above k that never traps, in a round whose
+    other lanes are all decided, ends that round early and is not listed.
+    The loop also ends when the bracket holds no double between its ends,
+    so a ``tol`` below the float spacing returns adjacent doubles.
+
+    The side of a point is as good as the integrator's resolution of the
+    orbit, not the bracket's doubles. Next to the k = 0 boundary mu*(m) the
+    orbit shadows the decaying one and its side is set by H's sign after a
+    long passage: at m = 4, 2.2e-12 above mu* a lane still traps with
+    k = 0, at deadband 1e-9 and 0 alike, while 1e-11 above it reads k = 1.
+    Lanes 1e-9 of mu from mu* take their true side at m = 3, 4, 5.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be a finite positive number")
-    (lo, hi), _ = _shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, side=k)
-    if lo.k > k or hi.k < k + 1:
-        # a count above k is counted only up to the stop
-        got = [f"k(mu_lo) >= {lo.k}"] if lo.k > k else []
-        got += [f"k(mu_hi) = {hi.k}"] if hi.k < k + 1 else []
-        raise BracketInvalid(
-            f"need k(mu_lo) <= {k} and k(mu_hi) >= {k + 1}; got {' and '.join(got)}")
+    if not (math.isfinite(mu_lo) and math.isfinite(mu_hi) and 0 < mu_lo < mu_hi):
+        raise ValueError(f"need finite 0 < mu_lo < mu_hi; got {mu_lo!r} and {mu_hi!r}")
+    if not t_max > 0:
+        raise ValueError("t_max must be positive")
+    _check_work(params, mu_hi, t_max, Tolerances())
     diagnostics: list[dict] = []
-    a, b = mu_lo, mu_hi
-    while b - a > tol:
-        ratio = (b - a) / tol
-        n = BISECT_LANES if ratio > BISECT_LANES + 1 else math.ceil(ratio) - 1
-        mus = [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
+    a, b, ends = mu_lo, mu_hi, [mu_lo, mu_hi]
+    # the rounds along the last sub-intervals, paired from the last one back
+    rounds, last = 0, a
+    while points := _round_points(last, b, tol):
+        rounds, last = rounds + 1, points[-1]
+    depth = 2 - rounds % 2
+    while True:
+        points = _round_points(a, b, tol)
+        grid = [a, *points, b]
+        inner = ([x for pair in zip(grid, grid[1:]) for x in _round_points(*pair, tol)]
+                 if depth == 2 else [])
+        mus = ends + points + inner
         if not mus:
-            break
-        outs, stopped = _shoot_lanes(params, mus, t_max, thresholds, side=k)
-        if not stopped:
-            diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
-        grid = [a, *mus, b]
-        j = next((i for i, o in enumerate(outs, 1) if o.k > k), len(grid) - 1)
-        a, b = grid[j - 1], grid[j]
-    return a, b, diagnostics
+            return a, b, diagnostics
+        traj, ks, first = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001,
+                                 side=k, deadband=thresholds.deadband)
+        if ends:
+            if ks[0] > k or ks[1] < k + 1:
+                # a count above k is counted only up to the stop
+                got = [f"k(mu_lo) >= {ks[0]}"] if ks[0] > k else []
+                got += [f"k(mu_hi) = {ks[1]}"] if ks[1] < k + 1 else []
+                raise BracketInvalid(
+                    f"need k(mu_lo) <= {k} and k(mu_hi) >= {k + 1}; got {' and '.join(got)}")
+            ends = []
+        lane = {mu: i for i, mu in enumerate(mus)}
+        decided = ~np.isnan(first) | (ks > k)
+        for _ in range(depth):
+            points = _round_points(a, b, tol)
+            if not points:
+                break
+            at = [lane[x] for x in points]
+            if not decided[at].all():
+                # solved alone, this round would have run as far as this solve
+                sub = replace(traj, states=traj.states[..., at], energy=traj.energy[:, at])
+                outs = _outcomes(params, points, sub, ks[at], first[at], thresholds)
+                diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
+            grid = [a, *points, b]
+            j = next((i for i, c in enumerate(ks[at], 1) if c > k), len(grid) - 1)
+            a, b = grid[j - 1], grid[j]
+        depth = 2
+
+
+def _round_points(a: float, b: float, tol: float) -> list[float]:
+    """The interior points one ``boundary_bisect`` round classifies in [a, b].
+
+    BISECT_LANES evenly spaced points, or the fewest that leave gaps of at
+    most ``tol``; none once b - a <= tol or no double lies between a and b.
+    """
+    if not b - a > tol:
+        return []
+    ratio = (b - a) / tol
+    n = BISECT_LANES if ratio > BISECT_LANES + 1 else math.ceil(ratio) - 1
+    return [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
 
 
 def rescaled_limit(params: DissipativeParams, t):
@@ -542,8 +598,9 @@ def _shoot_lanes(
 
     With ``side=k`` the solve ends at the first step end where every lane
     has H <= 0 or more than k sign changes: H never rises again and keeps
-    kappa*u*v > 0, so a trapped lane's k, class and first nonpositive H
-    are final there, and a lane above k keeps ``k > side``. ``keep`` (one
+    kappa*u*v > 0, so a trapped lane's k and class are final there, and a
+    lane above k keeps ``k > side``. Its first nonpositive H is then the
+    end of the step where H first is <= 0, not a grid time. ``keep`` (one
     lane: ``shoot``) attaches the whole trajectory. A failed solve is
     classified from its partial trajectory, whatever ``keep`` is.
 

@@ -3,7 +3,9 @@
 Deliberately different algorithms from the library under test: tanh-sinh
 quadrature (vs Gauss-Chebyshev), plain bisection (vs Brent and Newton),
 40-digit mpmath arithmetic, so agreement is evidence of correctness rather
-than shared bugs.
+than shared bugs. ``bisect_round_per_solve`` is the exception: it is the
+package's own earlier bisection loop, kept as the reference its brackets
+must equal to the bit.
 """
 
 from __future__ import annotations
@@ -171,3 +173,38 @@ def sign_change_events(m: int, mu: float, t_max: float) -> int:
     sol = solve_ivp(rhs, (0.0, t_max), [mu, mu], method="DOP853", rtol=1e-11, atol=1e-11,
                     events=[v_zero, trap])
     return len(sol.t_events[0])
+
+
+def bisect_round_per_solve(params, k: int, mu_lo: float, mu_hi: float, tol: float,
+                           t_max: float = 60.0):
+    """``boundary_bisect`` as it was before two rounds shared a solve.
+
+    A 2-lane end check, then one stacked ``side=k`` solve per round, each
+    of a round's BISECT_LANES interior points (fewer in the last round,
+    as ``tol`` needs) by ``dissipative._shoot_lanes``. The diagnostics are
+    the lanes that are not class A, from every round whose solve did not
+    end at the side stop.
+    """
+    import numpy as np
+
+    from diracorbits import dissipative as dis
+
+    thresholds = dis.Thresholds()
+    (lo, hi), _ = dis._shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, side=k)
+    if lo.k > k or hi.k < k + 1:
+        raise dis.BracketInvalid(f"k(mu_lo) = {lo.k}, k(mu_hi) = {hi.k}")
+    diagnostics = []
+    a, b = mu_lo, mu_hi
+    while b - a > tol:
+        ratio = (b - a) / tol
+        n = dis.BISECT_LANES if ratio > dis.BISECT_LANES + 1 else math.ceil(ratio) - 1
+        mus = [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
+        if not mus:
+            break
+        outs, stopped = dis._shoot_lanes(params, mus, t_max, thresholds, side=k)
+        if not stopped:
+            diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
+        grid = [a, *mus, b]
+        j = next((i for i, o in enumerate(outs, 1) if o.k > k), len(grid) - 1)
+        a, b = grid[j - 1], grid[j]
+    return a, b, diagnostics

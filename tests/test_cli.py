@@ -224,6 +224,24 @@ def test_boundary_tol_below_float_spacing_returns_adjacent_doubles():
     assert np.nextafter(payload["mu_lo"], np.inf) == payload["mu_hi"]
 
 
+@pytest.mark.parametrize("bracket, message", [
+    # refused before any solve, where it used to integrate and then report
+    # two k conditions
+    (["--mu-lo", "0.8", "--mu-hi", "0.6"], "error: need finite 0 < mu_lo < mu_hi; got 0.8 and 0.6"),
+    # both ends lie below the k = 0 boundary mu*(3) = 0.7071
+    (["--mu-lo", "0.1", "--mu-hi", "0.4"], "error: need k(mu_lo) <= 0 and k(mu_hi) >= 1; "
+                                           "got k(mu_hi) = 0"),
+])
+def test_boundary_bad_bracket_is_one_error_line(bracket, message):
+    env = dict(os.environ, PYTHONPATH=str(Path(diracorbits.__file__).parents[1]))
+    argv = ["dissipative", "boundary", "--m", "3", "--k", "0", *bracket]
+    proc = subprocess.run([sys.executable, "-m", "diracorbits.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [message]
+
+
 def test_rescaled_json(tmp_path):
     out = tmp_path / "rescaled.json"
     assert run("dissipative", "rescaled", "--m", "3", "--mu", "100",

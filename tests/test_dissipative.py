@@ -40,7 +40,8 @@ from diracorbits.numerics import (
     find_root,
     integrate,
 )
-from oracles import sign_change_events, vector_field_rescaled
+from oracles import bisect_round_per_solve, sign_change_events, vector_field_rescaled
+from test_golden import BRACKETS as GOLDEN_BRACKETS
 
 P3 = DissipativeParams(3)
 
@@ -514,13 +515,14 @@ def _fail_at_12(monkeypatch):
 
 def test_boundary_bisect_lists_the_lanes_of_a_failed_round(monkeypatch):
     # every solve fails at t = 12; the end check, mu -+ 2e-6, is decided
-    # before, but the round's lane at mu traps only at t = 13.2. The round
-    # is classified from its partial solve, with no lone re-solve, and
-    # lists its lanes that are not class A: mu, and mu + 1e-6 above k
+    # before, but the round's lane at mu traps only at t = 13.2. The one
+    # round rides in the end check's solve, is classified from its partial
+    # solve, with no lone re-solve, and lists its lanes that are not class
+    # A: mu, and mu + 1e-6 above k
     calls = _fail_at_12(monkeypatch)
     mu = mu_star(3) - 1e-12
     _, _, diag = boundary_bisect(P3, 0, mu - 2e-6, mu + 2e-6, tol=4e-6 / 3.5, t_max=30.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert [(d["k"], d["class"] != "A", d["t_end"]) for d in diag] == [(0, True, 12.0),
                                                                        (1, True, 12.0)]
 
@@ -536,10 +538,175 @@ def test_boundary_bisect_leaves_out_a_lane_cut_short_above_k():
     assert _one_lane_bisect(mu, 30.0)[2] == []
 
 
+# B_k, where the count goes from k to k + 1, at m = 3, 4, 5 and k = 0, 1, 2,
+# to 1e-6 relative (the BOUNDARIES table of bench/workloads.py)
+BOUNDARY_TABLE = {3: (0.707107, 1.574504, 2.424664), 4: (1.299038, 2.632089, 4.200931),
+                  5: (2.828427, 5.269067, 8.360636)}
+
+
+def _random_brackets():
+    # ends 2 to 15 % of mu outside B_k; the tolerances give 4 to 7 rounds,
+    # so odd and even round counts both occur
+    rng = np.random.default_rng(25)
+    cases = []
+    for m, bs in BOUNDARY_TABLE.items():
+        for k, b in enumerate(bs):
+            for tol in (1e-5, 1e-6, 1e-7, 1e-8):
+                lo, hi = b * (1 - rng.uniform(0.02, 0.15)), b * (1 + rng.uniform(0.02, 0.15))
+                cases.append((m, k, float(lo), float(hi), tol))
+    return cases
+
+
+ORACLE_BRACKETS = [(m, k, lo, hi, 1e-8) for m, k, lo, hi in GOLDEN_BRACKETS] + _random_brackets()
+
+
+@pytest.mark.parametrize("m, k, mu_lo, mu_hi, tol", ORACLE_BRACKETS)
+def test_boundary_bisect_equals_one_round_per_solve(m, k, mu_lo, mu_hi, tol):
+    # two rounds share a solve, and each lane's k comes from a larger stack;
+    # the brackets and diagnostics are still those of one round per solve
+    params = DissipativeParams(m)
+    new = boundary_bisect(params, k, mu_lo, mu_hi, tol=tol)
+    assert repr(new) == repr(bisect_round_per_solve(params, k, mu_lo, mu_hi, tol))
+
+
+SIDE_KEYS = ("mu", "k", "class", "t_end", "first_nonpositive_H")
+
+
+def _assert_same_lanes_listed(new, old):
+    # the bracket and each listed lane's side to the bit; a listed lane's
+    # H_tail and envelope are read at t_end on a larger stack, whose steps
+    # differ, so they agree only to the integrator's tolerance
+    assert repr(new[:2]) == repr(old[:2])
+    assert [[d[key] for key in SIDE_KEYS] for d in new[2]] == [
+        [d[key] for key in SIDE_KEYS] for d in old[2]]
+    for d, e in zip(new[2], old[2]):
+        assert d["H_tail"] == pytest.approx(e["H_tail"], rel=1e-5)
+        assert d["envelope"] == pytest.approx(e["envelope"], rel=1e-5)
+
+
+def test_boundary_bisect_lists_the_undecided_lane_of_one_round_per_solve():
+    mu = mu_star(3) - 1e-12
+    args = (P3, 0, mu - 1e-6, mu + 1e-6, 1.5e-6, 12.0)
+    new = boundary_bisect(*args[:4], tol=args[4], t_max=args[5])
+    assert len(new[2]) == 1
+    _assert_same_lanes_listed(new, bisect_round_per_solve(*args))
+
+
+def test_boundary_bisect_lists_no_lane_of_a_decided_round_beside_an_undecided_end():
+    # mu_lo = mu*(3) - 1e-12 traps only at t = 13.2, so the first solve,
+    # which holds the end check, runs to t_max = 12. Its rounds' lanes lie
+    # 6e-8 or more above mu* and are decided long before, so none is
+    # listed, as when each round is solved alone (listing every round of a
+    # solve that ran on gave 21 lanes here)
+    args = (P3, 0, mu_star(3) - 1e-12, mu_star(3) + 1e-6, 1e-8, 12.0)
+    new = boundary_bisect(*args[:4], tol=args[4], t_max=args[5])
+    assert new[2] == []
+    _assert_same_lanes_listed(new, bisect_round_per_solve(*args))
+
+
+def test_boundary_bisect_lists_the_failed_lanes_of_one_round_per_solve(monkeypatch):
+    _fail_at_12(monkeypatch)
+    mu = mu_star(3) - 1e-12
+    args = (P3, 0, mu - 2e-6, mu + 2e-6, 4e-6 / 3.5, 30.0)
+    new = boundary_bisect(*args[:4], tol=args[4], t_max=args[5])
+    assert len(new[2]) == 2
+    _assert_same_lanes_listed(new, bisect_round_per_solve(*args))
+
+
+@pytest.mark.parametrize("tol", [1e-20, 5e-324])
+def test_boundary_bisect_below_float_spacing_agrees_to_the_resolution(tol):
+    # adjacent doubles at the boundary: a lane there takes its side from
+    # v(t_max) against the deadband, which a larger stack moves by a few
+    # 1e-15 (0.707195498364329 reads k = 1 alone and k = 0 in the last
+    # round of one round per solve), so the two brackets agree to the
+    # integrator's resolution, not to the bit
+    new = boundary_bisect(P3, 0, 0.5, 1.0, tol=tol, t_max=5.0)
+    old = bisect_round_per_solve(P3, 0, 0.5, 1.0, tol, 5.0)
+    assert np.nextafter(new[0], math.inf) == new[1]
+    assert abs(new[0] - old[0]) <= 1e-12 * old[0]
+
+
+def _recorded_integrate(monkeypatch):
+    """Record each solve: its lanes, its step ends and its stop's calls to ``dense``."""
+    import diracorbits.dissipative as dis
+
+    solves = []
+
+    def recorded(field, y0, t_eval, tol=Tolerances(), stop=None):
+        solve = {"lanes": np.shape(y0)[-1], "ends": [float(t_eval[0])], "dense": 0}
+        solves.append(solve)
+
+        def watched(t, y, dense):
+            def counted(ts):
+                solve["dense"] += 1
+                return dense(ts)
+
+            solve["ends"].append(t)
+            return stop(t, y, counted)
+
+        return integrate(field, y0, t_eval, tol, watched if stop else None)
+
+    monkeypatch.setattr(dis, "integrate", recorded)
+    return solves
+
+
+def test_boundary_bisect_takes_two_rounds_per_solve(monkeypatch):
+    # 7 rounds: the end check with the first, then 3 solves of two rounds
+    # (one round per solve took 8)
+    solves = _recorded_integrate(monkeypatch)
+    boundary_bisect(P3, 1, 1.5, 2.0, tol=1e-8)
+    assert len(solves) <= 4
+    assert max(solve["lanes"] for solve in solves) == 2 ** 8 - 1
+
+
+def test_a_side_solve_forms_no_sample_in_its_steps(monkeypatch):
+    import diracorbits.dissipative as dis
+
+    solves = _recorded_integrate(monkeypatch)
+    boundary_bisect(P3, 1, 1.5, 2.0, tol=1e-8)
+    dis._shoot_lanes(P3, [0.3, 0.6, 1.0, 2.0], 60.0, Thresholds(), side=1)
+    assert solves and all(solve["dense"] == 0 for solve in solves)
+    # a solve with no side forms the trap step's grid samples
+    classify_sweep(P3, [0.6, 1.0])
+    assert solves[-2]["dense"] > 0
+
+
+@pytest.mark.parametrize("mu_lo, mu_hi", [
+    (0.8, 0.6), (0.7, 0.7), (0.0, 0.7), (-0.1, 0.7), (math.nan, 0.7), (0.5, math.nan),
+    (0.5, math.inf), (-math.inf, 0.7)])
+def test_boundary_bisect_refuses_a_bad_bracket_before_any_solve(monkeypatch, mu_lo, mu_hi):
+    solves = _recorded_integrate(monkeypatch)
+    with pytest.raises(ValueError, match="need finite 0 < mu_lo < mu_hi"):
+        boundary_bisect(P3, 0, mu_lo, mu_hi)
+    assert solves == []
+
+
 @pytest.mark.parametrize("m", [3, 4, 5])
-def test_trap_stop_keeps_sweep_outcomes(m):
-    # H <= 0 on every lane ends the solve; k, class and the first H <= 0
-    # must equal the full-horizon sweep's on every lane
+def test_lanes_1e9_from_mu_star_take_their_true_side(m):
+    # the k = 0 boundary is resolved to about 1e-11 of mu (2.2e-12 above
+    # mu*(4) a lane still traps with k = 0); 1e-9 away, the end check's
+    # stacked solve and a lone shoot both give the true side
+    params = DissipativeParams(m)
+    lo, hi = mu_star(m) * (1 - 1e-9), mu_star(m) * (1 + 1e-9)
+    assert shoot(params, lo).k == 0 and shoot(params, hi).k >= 1
+    assert boundary_bisect(params, 0, lo, hi, tol=hi - lo)[:2] == (lo, hi)
+
+
+def _in_trap_step(first_grid, trap_end, ends, t_max=60.0):
+    # a side solve reports the end of the step where H first is <= 0; the
+    # first grid time with H <= 0 lies in that step, or is the next grid
+    # time after it when the step holds none
+    grid = np.linspace(0.0, t_max, 4001)
+    before = ends[ends.index(trap_end) - 1] if trap_end > 0 else -math.inf
+    after = grid[min(np.searchsorted(grid, trap_end, side="right"), len(grid) - 1)]
+    return before < first_grid <= trap_end or first_grid == after
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_trap_stop_keeps_sweep_outcomes(m, monkeypatch):
+    # H <= 0 on every lane ends the solve; k and class must equal the
+    # full-horizon sweep's on every lane, and its first H <= 0 must lie in
+    # the side solve's trap step
     import diracorbits.dissipative as dis
 
     params = DissipativeParams(m)
@@ -547,32 +714,37 @@ def test_trap_stop_keeps_sweep_outcomes(m):
     full = classify_sweep(params, mus)
     # no lane here changes sign 4001 times, so side = 4001 leaves H <= 0 as
     # the only rule
+    solves = _recorded_integrate(monkeypatch)
     trapped, stopped = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=4001)
+    ends = solves[-1]["ends"]
     assert stopped and max(o.t_end for o in trapped) < 60.0
     for a, b in zip(trapped, full):
-        assert (a.mu, a.k, a.cls, a.first_nonpositive_H) == (
-            b.mu, b.k, b.cls, b.first_nonpositive_H)
+        assert (a.mu, a.k, a.cls) == (b.mu, b.k, b.cls)
+        assert _in_trap_step(b.first_nonpositive_H, a.first_nonpositive_H, ends), a.mu
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
-def test_side_stop_keeps_each_lanes_side(m):
+def test_side_stop_keeps_each_lanes_side(m, monkeypatch):
     # side=k ends the solve once every lane has H <= 0 or more than k sign
     # changes: every lane must take the full sweep's side of k, and every
-    # lane trapped by then the full sweep's k, class and first H <= 0
+    # lane trapped by then the full sweep's k and class, with the full
+    # sweep's first H <= 0 in its trap step
     import diracorbits.dissipative as dis
 
     params = DissipativeParams(m)
     mus = list(np.geomspace(0.05, 20.0, 300))
     full = classify_sweep(params, mus)
+    solves = _recorded_integrate(monkeypatch)
     for side in range(4):
         outs, _ = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=side)
+        ends = solves[-1]["ends"]
         ahead = [o for o in outs if o.first_nonpositive_H is None]
         assert ahead and all(o.k > side for o in ahead)
         for a, b in zip(outs, full):
             assert a.mu == b.mu and (a.k > side) == (b.k > side), (side, a.mu)
             if a.first_nonpositive_H is not None:
-                assert (a.k, a.cls, a.first_nonpositive_H) == (
-                    b.k, b.cls, b.first_nonpositive_H), (side, a.mu)
+                assert (a.k, a.cls) == (b.k, b.cls), (side, a.mu)
+                assert _in_trap_step(b.first_nonpositive_H, a.first_nonpositive_H, ends)
 
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_dissipative.json").read_text())
