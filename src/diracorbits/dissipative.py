@@ -243,37 +243,51 @@ def shoot(
     overflows a few units later (t = 717.83 at m = 3, mu = 0.6) however
     the coupling is written.
     """
-    return _shoot_lanes(params, [mu], t_max, thresholds, tol=tol, n_samples=n_samples,
-                        keep=True)[0][0]
+    traj, ks, first = _solve(params, [mu], t_max, tol, n_samples,
+                             deadband=thresholds.deadband, keep=True)
+    out = _outcomes(params, [mu], traj, ks, first, thresholds)[0]
+    n = len(traj)
+    traj = replace(traj, states=traj.states.reshape(n, 2), energy=traj.energy.reshape(n))
+    return replace(out, trajectory=traj)
 
 
 def _solve(
     params: DissipativeParams,
-    y0: np.ndarray,
+    mus: list[float],
     t_max: float,
-    tol: Tolerances,
-    n_samples: int,
+    tol: Tolerances = Tolerances(),
+    n_samples: int = 4001,
     side: int | None = None,
     deadband: float = Thresholds().deadband,
     keep: bool = False,
 ) -> tuple[Trajectory, np.ndarray, np.ndarray]:
-    """Solve from the (2, lanes) stack y0 at t = 0 to ``t_max`` on ``n_samples`` grid times.
+    """One stacked solve of the lanes (mu, mu) from t = 0 to ``t_max`` on ``n_samples`` times.
 
+    Before any solve it refuses, with ValueError, a mu or a ``t_max`` that
+    is not finite and positive, and runs ``_check_work``.
     Returns the trajectory, and each lane's k and first grid time with
     H <= 0 (NaN for none; with ``side=k``, the end of the step where H
     first is <= 0), read at phase 1's step ends by ``_StepWatch``.
     Phase 1 integrates ``time_field``. With ``side=None`` it ends at the
     trap step's end, the first step end before ``t_max`` where every lane
-    has H <= 0 (docs/decisions.md, "The trap stop"), and phase 2 goes on
-    from the state there in ``polar_field``. With ``side=k`` the solve
-    returns where every lane's side of k is decided. ``keep`` forms every
-    grid sample; otherwise only the initial sample and the last
-    TAIL_WINDOW time units are formed, all that ``_outcomes`` reads. A
+    has H <= 0 (docs/decisions.md, "Handoff at the trap step; one failure
+    rule"), and phase 2 goes on from the state there in ``polar_field``.
+    With ``side=k`` the solve returns where every lane's side of k is
+    decided: H never rises again and keeps kappa*u*v > 0, so a trapped
+    lane's k is final there, and a lane above k stays above it. ``keep``
+    forms every grid sample; otherwise only the initial sample and the
+    last TAIL_WINDOW time units are formed, all that ``_outcomes`` reads. A
     failed solve returns its formed samples merged with the step ends of
     both phases, and a lane whose first grid time with H <= 0 lies past
     its end reports its trap step's end instead (docs/decisions.md, "One
     exit from a dissipative solve"); a failure with no trajectory raises.
     """
+    if not all(0 < mu < math.inf for mu in mus):
+        raise ValueError("mu must be finite and positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    _check_work(params, max(mus), t_max, tol)
+    y0 = np.array([mus, mus], dtype=float)
     grid = np.linspace(0.0, t_max, n_samples)
     w = 1 if keep else max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), 1)
     times = np.concatenate([grid[:1], grid[w:]])
@@ -438,9 +452,6 @@ def boundary_bisect(
         raise ValueError("tol must be a finite positive number")
     if not (math.isfinite(mu_lo) and math.isfinite(mu_hi) and 0 < mu_lo < mu_hi):
         raise ValueError(f"need finite 0 < mu_lo < mu_hi; got {mu_lo!r} and {mu_hi!r}")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    _check_work(params, mu_hi, t_max, Tolerances())
     diagnostics: list[dict] = []
     a, b, ends = mu_lo, mu_hi, [mu_lo, mu_hi]
     # the rounds along the last sub-intervals, paired from the last one back
@@ -456,8 +467,7 @@ def boundary_bisect(
         mus = ends + points + inner
         if not mus:
             return a, b, diagnostics
-        traj, ks, first = _solve(params, np.array([mus, mus]), t_max, Tolerances(), 4001,
-                                 side=k, deadband=thresholds.deadband)
+        traj, ks, first = _solve(params, mus, t_max, side=k, deadband=thresholds.deadband)
         if ends:
             if ks[0] > k or ks[1] < k + 1:
                 # a count above k is counted only up to the stop
@@ -510,8 +520,10 @@ def rescale_compare(params: DissipativeParams, mu: float, T: float = 5.0) -> flo
     with eps = 1/mu, sampled at RESCALE_SAMPLES times, then mapped by the
     exact rescaling identity.
     """
-    if not mu >= 1:
-        raise ValueError("mu must be >= 1")
+    if not 1 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 1, got {mu!r}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     eps = 1.0 / mu
     scale = eps ** (2 / (params.m - 1))
     traj = integrate(time_field(params), (mu, mu), np.linspace(0.0, scale * T, RESCALE_SAMPLES))
@@ -581,44 +593,7 @@ def classify_sweep(
     mus = [float(mu) for mu in mu_grid]
     if sorted(mus) != mus:
         raise ValueError("mu grid must be increasing")
-    return _shoot_lanes(params, mus, t_max, thresholds)[0]
-
-
-def _shoot_lanes(
-    params: DissipativeParams,
-    mus: list[float],
-    t_max: float,
-    thresholds: Thresholds,
-    side: int | None = None,
-    tol: Tolerances = Tolerances(),
-    n_samples: int = 4001,
-    keep: bool = False,
-) -> tuple[list[ShootingOutcome], bool]:
-    """Classify each mu as ``shoot`` does, all lanes in one stacked solve (``_solve``).
-
-    With ``side=k`` the solve ends at the first step end where every lane
-    has H <= 0 or more than k sign changes: H never rises again and keeps
-    kappa*u*v > 0, so a trapped lane's k and class are final there, and a
-    lane above k keeps ``k > side``. Its first nonpositive H is then the
-    end of the step where H first is <= 0, not a grid time. ``keep`` (one
-    lane: ``shoot``) attaches the whole trajectory. A failed solve is
-    classified from its partial trajectory, whatever ``keep`` is.
-
-    Returns the outcomes in ``mus`` order and whether the solve ended at
-    that ``side`` stop, where an untrapped lane was cut short.
-    """
-    if any(not mu > 0 for mu in mus):
-        raise ValueError("mu must be positive")
     if not mus:
-        return [], False
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    _check_work(params, max(mus), t_max, tol)
-    traj, ks, first = _solve(params, np.array([mus, mus]), t_max, tol, n_samples, side,
-                             thresholds.deadband, keep)
-    outs = _outcomes(params, mus, traj, ks, first, thresholds)
-    if keep:
-        n = len(traj)
-        traj = replace(traj, states=traj.states.reshape(n, 2), energy=traj.energy.reshape(n))
-        outs = [replace(outs[0], trajectory=traj)]
-    return outs, traj.terminal_reason == "stopped"
+        return []
+    return _outcomes(params, mus, *_solve(params, mus, t_max, deadband=thresholds.deadband),
+                     thresholds)

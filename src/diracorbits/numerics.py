@@ -80,10 +80,15 @@ class Tolerances:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol + self.rel_tol <= 0:
-            raise ValueError("need abs_tol, rel_tol >= 0 with abs_tol + rel_tol > 0")
-        if not (self.max_steps > 0 and math.isfinite(self.max_steps)):
-            raise ValueError("max_steps must be a positive finite count")
+        # a NaN tolerance makes a NaN first step that is rejected forever, and
+        # an infinite one switches the error control off
+        tols = (self.abs_tol, self.rel_tol)
+        if not all(math.isfinite(x) and x >= 0 for x in tols) or sum(tols) <= 0:
+            raise ValueError("need finite abs_tol, rel_tol >= 0 with abs_tol + rel_tol > 0; "
+                             f"got {self.abs_tol!r} and {self.rel_tol!r}")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps > 0):
+            raise ValueError(f"max_steps must be a positive integer, got {steps!r}")
 
 
 @dataclass

@@ -181,16 +181,23 @@ def bisect_round_per_solve(params, k: int, mu_lo: float, mu_hi: float, tol: floa
 
     A 2-lane end check, then one stacked ``side=k`` solve per round, each
     of a round's BISECT_LANES interior points (fewer in the last round,
-    as ``tol`` needs) by ``dissipative._shoot_lanes``. The diagnostics are
-    the lanes that are not class A, from every round whose solve did not
-    end at the side stop.
+    as ``tol`` needs), each classified by ``dissipative._outcomes``. The
+    diagnostics are the lanes that are not class A, from every round whose
+    solve did not end at the side stop.
     """
     import numpy as np
 
     from diracorbits import dissipative as dis
 
     thresholds = dis.Thresholds()
-    (lo, hi), _ = dis._shoot_lanes(params, [mu_lo, mu_hi], t_max, thresholds, side=k)
+
+    def solve(mus):
+        # the outcomes, and whether the solve ended at the side stop
+        traj, ks, first = dis._solve(params, mus, t_max, side=k, deadband=thresholds.deadband)
+        return (dis._outcomes(params, mus, traj, ks, first, thresholds),
+                traj.terminal_reason == "stopped")
+
+    (lo, hi), _ = solve([mu_lo, mu_hi])
     if lo.k > k or hi.k < k + 1:
         raise dis.BracketInvalid(f"k(mu_lo) = {lo.k}, k(mu_hi) = {hi.k}")
     diagnostics = []
@@ -201,7 +208,7 @@ def bisect_round_per_solve(params, k: int, mu_lo: float, mu_hi: float, tol: floa
         mus = [float(x) for x in np.unique(np.linspace(a, b, n + 2)) if a < x < b]
         if not mus:
             break
-        outs, stopped = dis._shoot_lanes(params, mus, t_max, thresholds, side=k)
+        outs, stopped = solve(mus)
         if not stopped:
             diagnostics += [o.to_json_dict() for o in outs if o.cls != "A"]
         grid = [a, *mus, b]

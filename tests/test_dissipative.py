@@ -664,7 +664,8 @@ def test_a_side_solve_forms_no_sample_in_its_steps(monkeypatch):
 
     solves = _recorded_integrate(monkeypatch)
     boundary_bisect(P3, 1, 1.5, 2.0, tol=1e-8)
-    dis._shoot_lanes(P3, [0.3, 0.6, 1.0, 2.0], 60.0, Thresholds(), side=1)
+    mus = [0.3, 0.6, 1.0, 2.0]
+    dis._outcomes(P3, mus, *dis._solve(P3, mus, 60.0, side=1), Thresholds())
     assert solves and all(solve["dense"] == 0 for solve in solves)
     # a solve with no side forms the trap step's grid samples
     classify_sweep(P3, [0.6, 1.0])
@@ -678,6 +679,28 @@ def test_boundary_bisect_refuses_a_bad_bracket_before_any_solve(monkeypatch, mu_
     solves = _recorded_integrate(monkeypatch)
     with pytest.raises(ValueError, match="need finite 0 < mu_lo < mu_hi"):
         boundary_bisect(P3, 0, mu_lo, mu_hi)
+    assert solves == []
+
+
+_ENTRIES = {
+    "shoot": lambda mu, t_max: shoot(P3, mu, t_max=t_max),
+    "classify_sweep": lambda mu, t_max: classify_sweep(P3, [mu], t_max=t_max),
+    "boundary_bisect": lambda mu, t_max: boundary_bisect(P3, 0, mu, 2.0, t_max=t_max),
+    "rescale_compare": lambda mu, T: rescale_compare(P3, mu, T),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("mu, t_max", [
+    (0.0, 5.0), (-1.0, 5.0), (math.nan, 5.0), (math.inf, 5.0),
+    (1.5, 0.0), (1.5, -1.0), (1.5, math.nan), (1.5, math.inf)])
+def test_each_entry_refuses_a_bad_mu_or_horizon_before_any_solve(monkeypatch, entry, mu, t_max):
+    # an infinite mu or horizon used to reach integrate through a numpy
+    # RuntimeWarning, and a NaN horizon to be called not positive
+    match = "mu" if t_max == 5.0 else "(t_max|T) must be finite and positive"
+    solves = _recorded_integrate(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        _ENTRIES[entry](mu, t_max)
     assert solves == []
 
 
@@ -715,7 +738,9 @@ def test_trap_stop_keeps_sweep_outcomes(m, monkeypatch):
     # no lane here changes sign 4001 times, so side = 4001 leaves H <= 0 as
     # the only rule
     solves = _recorded_integrate(monkeypatch)
-    trapped, stopped = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=4001)
+    traj, ks, first = dis._solve(params, mus, 60.0, side=4001)
+    trapped = dis._outcomes(params, mus, traj, ks, first, Thresholds())
+    stopped = traj.terminal_reason == "stopped"
     ends = solves[-1]["ends"]
     assert stopped and max(o.t_end for o in trapped) < 60.0
     for a, b in zip(trapped, full):
@@ -736,7 +761,8 @@ def test_side_stop_keeps_each_lanes_side(m, monkeypatch):
     full = classify_sweep(params, mus)
     solves = _recorded_integrate(monkeypatch)
     for side in range(4):
-        outs, _ = dis._shoot_lanes(params, mus, 60.0, Thresholds(), side=side)
+        outs = dis._outcomes(params, mus, *dis._solve(params, mus, 60.0, side=side),
+                             Thresholds())
         ends = solves[-1]["ends"]
         ahead = [o for o in outs if o.first_nonpositive_H is None]
         assert ahead and all(o.k > side for o in ahead)
@@ -762,9 +788,8 @@ def test_sweep_forms_only_the_tail_window_with_the_whole_tails_outcomes(m, t_max
     params = DissipativeParams(m)
     mus = next(s for s in GOLDEN["sweeps"] if s["m"] == m)["lanes"]
     mus = [lane["mu"] for lane in mus]
-    y0 = np.array([mus, mus])
-    whole, ks, first = dis._solve(params, y0, t_max, Tolerances(), 4001, keep=True)
-    window, window_ks, window_first = dis._solve(params, y0, t_max, Tolerances(), 4001)
+    whole, ks, first = dis._solve(params, mus, t_max, Tolerances(), 4001, keep=True)
+    window, window_ks, window_first = dis._solve(params, mus, t_max, Tolerances(), 4001)
     assert whole.terminal_reason == window.terminal_reason == "completed"
     rows = [0, *np.flatnonzero(whole.t >= t_max - dis.TAIL_WINDOW)]
     assert len(window) == len(rows) < len(whole)

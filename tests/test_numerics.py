@@ -589,3 +589,14 @@ def test_tolerances_validation():
         Tolerances(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(ValueError):
         Tolerances(max_steps=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"abs_tol": math.nan}, {"rel_tol": math.nan}, {"abs_tol": math.inf},
+    {"abs_tol": math.inf, "rel_tol": math.inf}, {"max_steps": 1e6}, {"max_steps": 10.5},
+    {"max_steps": math.inf}, {"max_steps": True}])
+def test_tolerances_refuse_a_tolerance_not_finite_or_a_step_count_not_integer(kwargs):
+    # a NaN abs_tol made shoot's first step NaN and rejected it forever; an
+    # infinite pair switched the error control off (class A in 18 steps)
+    with pytest.raises(ValueError):
+        Tolerances(**kwargs)
