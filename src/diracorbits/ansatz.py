@@ -27,6 +27,7 @@ __all__ = [
     "SpinorProfile",
     "OriginEvaluation",
     "EmptyTrajectory",
+    "NonFiniteProfile",
     "PointOutOfRange",
     "InsufficientTail",
     "ansatz_eval",
@@ -47,6 +48,10 @@ class OriginEvaluation(ValueError):
 
 
 class EmptyTrajectory(ValueError):
+    pass
+
+
+class NonFiniteProfile(ValueError):
     pass
 
 
@@ -187,12 +192,22 @@ def dirac_on_ansatz_closed(
 def profile_from_phase(
     kind: str, m: int, traj: Trajectory, gamma0: np.ndarray | None = None
 ) -> SpinorProfile:
-    """Map a phase-plane trajectory to the radial profile via r = e^{-t}."""
+    """Map a phase-plane trajectory to the radial profile via r = e^{-t}.
+
+    Raises NonFiniteProfile, naming the first such t, where f1 or f2 is
+    not finite: u e^{l t} leaves the double range, as a long dissipative
+    shoot's tail does at m >= 4.
+    """
     l = lambda_exp(kind, m)
     t = traj.t
-    growth = np.exp(l * t)
-    f1 = -traj.u * growth
-    f2 = traj.v * growth
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.exp(l * t)
+        f1 = -traj.u * growth
+        f2 = traj.v * growth
+    bad = ~(np.isfinite(f1) & np.isfinite(f2))
+    if bad.any():
+        raise NonFiniteProfile(
+            f"f1 = -u e^(lt) or f2 = v e^(lt) is not finite at t = {float(t[bad].min())!r}")
     r = np.exp(-t)
     order = np.argsort(r)
     if gamma0 is None:

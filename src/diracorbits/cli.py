@@ -208,7 +208,8 @@ def cmd_dissipative(args) -> int:
     thr = dis.Thresholds(args.decay_threshold, args.fit_tol, args.deadband)
     sub = args.dissipative_cmd
     if sub == "shoot":
-        out = dis.shoot(params, args.mu, args.t_max, thr)
+        # the record alone: a one-lane sweep forms only the samples it reads
+        out = dis.classify_sweep(params, [args.mu], args.t_max, thr)[0]
         return _emit(args, out.to_json_dict())
     if sub == "sweep":
         grid = args.grid or list(np.linspace(args.mu_start, args.mu_stop, args.mu_count))
@@ -238,10 +239,10 @@ def cmd_dissipative(args) -> int:
 # ------------------------------------------------------------------ ansatz
 
 
-def _profile_from_source(args, m: int) -> ans.SpinorProfile:
+def _profile_from_source(args, m: int, t_max: float) -> ans.SpinorProfile:
     source = args.source
     if source == "dissipative":
-        out = dis.shoot(dis.DissipativeParams(m), args.mu, args.t_max)
+        out = dis.shoot(dis.DissipativeParams(m), args.mu, t_max)
         return ans.profile_from_phase("dissipative", m, out.trajectory)
     params = aut.AutonomousParams(m)
     if source == "homoclinic":
@@ -258,19 +259,32 @@ def _profile_from_source(args, m: int) -> ans.SpinorProfile:
     return ans.profile_from_phase("autonomous", m, traj)
 
 
+def _residual_radii(r_lo: float, r_hi: float) -> np.ndarray:
+    """The |x| of the residual's five points on a profile sampled over [r_lo, r_hi]."""
+    return np.geomspace(max(r_lo * 4, 0.5), min(r_hi / 4, 2.0), 5)
+
+
 def cmd_ansatz(args) -> int:
     m = args.m
     sub = args.ansatz_cmd
-    if sub == "residual" and not all(h > 0 for h in args.h):
-        raise UsageError("--h steps must be positive")
-    profile = _profile_from_source(args, m)
+    t_max = args.t_max
+    if sub == "residual":
+        if not all(h > 0 for h in args.h):
+            raise UsageError("--h steps must be positive")
+        # a dissipative profile spans r in [e^-t_max, 1]; once 4 e^-t_max is below the
+        # first radius and the lowest stencil radius lies inside, the radii are those of
+        # r_lo = 0, and a longer shoot moves no point: it only spreads its samples
+        radii = _residual_radii(0.0, 1.0)
+        low = radii.min() - ans.ambient_dim("dissipative", m) * max(args.h)
+        if low > 0:
+            t_max = min(t_max, math.ceil(max(math.log(4 / radii[0]), -math.log(low))))
+    profile = _profile_from_source(args, m, t_max)
     if sub == "profile":
         rows = zip(profile.r, profile.f1, profile.f2, profile.psi_abs)
         return _emit_rows(args, ["r", "f1", "f2", "psi_abs"], rows)
     if sub == "residual":
         rep = build_rep(profile.ambient_dim)
-        r_mid = np.geomspace(max(profile.r[0] * 4, 0.5),
-                             min(profile.r[-1] / 4, 2.0), 5)
+        r_mid = _residual_radii(profile.r[0], profile.r[-1])
         points = np.outer(r_mid, np.eye(profile.ambient_dim)[0])  # (r, 0, ..., 0)
         rows = [(h, ans.pde_residual(profile.kind, m, profile, rep, points, h))
                 for h in args.h]

@@ -171,8 +171,8 @@ class _StepWatch:
     that time, so the trap step's end stands for it and no sample is
     formed. It stops at the first step end before ``t_max`` where every
     lane is decided: it has H <= 0, or, with ``side=k``, more than k
-    changes. ``ts`` and ``ys`` hold t = 0 and every step end, and the state
-    there: the last is the handoff, and a failed solve merges them.
+    changes. ``t`` and ``y`` hold the last step end and the state there:
+    after a stop, the handoff.
     """
 
     def __init__(self, params, grid, y0, side, deadband):
@@ -181,7 +181,7 @@ class _StepWatch:
         self.count = np.zeros(y0.shape[1], dtype=int)
         self.first = np.where(hamiltonian_t(params, 0.0, y0[0], y0[1]) <= 0.0, 0.0, np.nan)
         self.first_end = np.full(y0.shape[1], np.nan)  # the trap step's end
-        self.ts, self.ys = [0.0], [y0]
+        self.t, self.y = 0.0, y0
 
     def __call__(self, t, y, dense):
         grid, (u, v) = self.grid, y
@@ -189,14 +189,10 @@ class _StepWatch:
         self.count += signs * self.sign < 0
         self.sign = np.where(signs != 0, signs, self.sign)
         new = (hamiltonian_t(self.params, t, u, v) <= 0.0) & np.isnan(self.first)
-        t_old = self.ts[-1]
-        self.ts.append(t)
-        self.ys.append(y)
+        t_old, self.t, self.y = self.t, t, y
         if new.any():
-            self.first_end[new] = t
-            if self.side is not None:
-                self.first[new] = t
-            else:
+            self.first_end[new] = self.first[new] = t
+            if self.side is None:
                 # the step's grid samples; the last one is the last step's end
                 lo, hi = np.searchsorted(grid, [t_old, t], side="right")
                 at = np.zeros(new.sum(), dtype=int)
@@ -235,7 +231,7 @@ def shoot(
     first is <= 0, and from there to ``t_max`` in ``polar_field``, which
     needs fewer steps on the growing trapped tail (``_solve``). The
     trajectory holds both phases on the one grid, in (u, v), with their
-    steps summed.
+    steps summed; the record reads only the rows a sweep forms.
 
     No orbit is followed past the float range: the coupling's cosh(t)
     overflows at t = 710.48, where a longer t_max ends with H_tail < 0.
@@ -245,9 +241,11 @@ def shoot(
     """
     traj, ks, first = _solve(params, [mu], t_max, tol, n_samples,
                              deadband=thresholds.deadband, keep=True)
-    out = _outcomes(params, [mu], traj, ks, first, thresholds)[0]
-    n = len(traj)
-    traj = replace(traj, states=traj.states.reshape(n, 2), energy=traj.energy.reshape(n))
+    grid = np.linspace(0.0, t_max, n_samples)[1:]
+    read = (traj.t >= t_max - TAIL_WINDOW) | (grid[np.searchsorted(grid, traj.t)] != traj.t)
+    sub = replace(traj, t=traj.t[read], states=traj.states[read], energy=traj.energy[read])
+    out = _outcomes(params, [mu], sub, ks, first, thresholds)[0]
+    traj = replace(traj, states=traj.states.reshape(-1, 2), energy=traj.energy.reshape(-1))
     return replace(out, trajectory=traj)
 
 
@@ -264,7 +262,8 @@ def _solve(
     """One stacked solve of the lanes (mu, mu) from t = 0 to ``t_max`` on ``n_samples`` times.
 
     Before any solve it refuses, with ValueError, a mu or a ``t_max`` that
-    is not finite and positive, and runs ``_check_work``.
+    is not finite and positive, fewer than 2 samples, or a ``t_max`` too
+    small for ``n_samples`` increasing times, and runs ``_check_work``.
     Returns the trajectory, and each lane's k and first grid time with
     H <= 0 (NaN for none; with ``side=k``, the end of the step where H
     first is <= 0), read at phase 1's step ends by ``_StepWatch``.
@@ -277,26 +276,29 @@ def _solve(
     lane's k is final there, and a lane above k stays above it. ``keep``
     forms every grid sample; otherwise only the initial sample and the
     last TAIL_WINDOW time units are formed, all that ``_outcomes`` reads. A
-    failed solve returns its formed samples merged with the step ends of
-    both phases, and a lane whose first grid time with H <= 0 lies past
-    its end reports its trap step's end instead (docs/decisions.md, "One
-    exit from a dissipative solve"); a failure with no trajectory raises.
+    failed solve returns its formed samples and the failing ``integrate``'s
+    step ends, and a lane whose first grid time with H <= 0 lies past its
+    end reports its trap step's end instead (docs/decisions.md, "A failure
+    keeps what integrate formed"); a failure with no trajectory raises.
     """
     if not all(0 < mu < math.inf for mu in mus):
         raise ValueError("mu must be finite and positive")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    if not n_samples >= 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples!r}")
+    grid = np.linspace(0.0, t_max, n_samples)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise ValueError(f"t_max = {t_max!r} is too small for {n_samples} increasing sample times")
     _check_work(params, max(mus), t_max, tol)
     y0 = np.array([mus, mus], dtype=float)
-    grid = np.linspace(0.0, t_max, n_samples)
-    w = 1 if keep else max(int(np.searchsorted(grid, t_max - TAIL_WINDOW)), 1)
-    times = np.concatenate([grid[:1], grid[w:]])
+    times = grid if keep else grid[(grid == 0.0) | (grid >= t_max - TAIL_WINDOW)]
     watch = _StepWatch(params, grid, y0, side, deadband)
     pieces = []
     try:
         pieces.append(integrate(time_field(params), y0, times, tol=tol, stop=watch))
         if side is None and pieces[0].terminal_reason == "stopped":
-            (u, v), t = watch.ys[-1], watch.ts[-1]
+            (u, v), t = watch.y, watch.t
             start = np.array([2 * np.log(np.hypot(u, v)), np.arctan2(v, u)])
             times = np.concatenate([[t], times[times > t]])
             pieces.append(integrate(polar_field(params), start, times, tol=tol))
@@ -304,25 +306,19 @@ def _solve(
         if exc.trajectory is None:
             raise
         pieces.append(exc.trajectory)
-        # phase 1's samples merged with its step ends, as integrate merges its own
-        head = pieces[0]
-        t, at = np.unique(np.concatenate([head.t, watch.ts]), return_index=True)
-        pieces[0] = replace(head, t=t, states=np.concatenate([head.states, watch.ys])[at])
-        traj = _join(params, *pieces)
-        return traj, watch.count, np.where(watch.first > traj.t[-1], watch.first_end, watch.first)
-    return _join(params, *pieces), watch.count, watch.first
+    traj = _join(params, *pieces)
+    return traj, watch.count, np.where(watch.first > traj.t[-1], watch.first_end, watch.first)
 
 
 def _join(params: DissipativeParams, head: Trajectory,
           polar: Trajectory | None = None) -> Trajectory:
-    """``head`` with H at each sample, then ``polar`` after its first sample, in (u, v).
+    """``head`` with H at each sample, then ``polar`` in (u, v) after its first sample, the handoff.
 
     States are (n, 2, lanes); only t, the states, the steps and the
-    terminal reason of each piece are read. ``polar`` starts at phase 1's
-    last step end, which ``head`` holds only when the solve failed.
-    H on the polar samples is e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi),
-    with N the coupling of ``polar_field``: it never forms z^(m/(m-1)),
-    which overflows from t ~ 700 on.
+    terminal reason of each piece are read. H on the polar samples is
+    e^rho ((m-1)/(2m) N - (kappa/2) sin 2phi), with N the coupling of
+    ``polar_field``: it never forms z^(m/(m-1)), which overflows from
+    t ~ 700 on.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         energy = hamiltonian_t(params, head.t[:, None], head.states[:, 0], head.states[:, 1])
@@ -365,10 +361,10 @@ def _outcomes(params: DissipativeParams, mus: list[float], traj: Trajectory, ks:
 
     ``ks`` and ``first`` come from ``_solve``. The class comes from the
     first H <= 0 or else the decay test on u^2 + v^2 at the end. The
-    envelope is the least-squares
-    slope of ln(u^2+v^2) over the last TAIL_WINDOW time units, formed on
-    that window alone: None with fewer than 10 positive samples there, or
-    when their times do not spread (a horizon of a few float spacings).
+    envelope is the least-squares slope of ln(u^2+v^2) over the last
+    TAIL_WINDOW time units, formed on that window alone: None with fewer
+    than 10 positive samples there, or when their times do not spread (a
+    horizon of a few float spacings).
     """
     u, v, energy = traj.u, traj.v, traj.energy
     with np.errstate(over="ignore"):
@@ -526,7 +522,10 @@ def rescale_compare(params: DissipativeParams, mu: float, T: float = 5.0) -> flo
         raise ValueError(f"T must be finite and positive, got {T!r}")
     eps = 1.0 / mu
     scale = eps ** (2 / (params.m - 1))
-    traj = integrate(time_field(params), (mu, mu), np.linspace(0.0, scale * T, RESCALE_SAMPLES))
+    times = np.linspace(0.0, scale * T, RESCALE_SAMPLES)
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError(f"T = {T!r} is too small for {RESCALE_SAMPLES} increasing sample times")
+    traj = integrate(time_field(params), (mu, mu), times)
     U0, V0 = rescaled_limit(params, traj.t / scale)
     return float(np.max(np.hypot(eps * traj.u - U0, eps * traj.v - V0)))
 
@@ -580,10 +579,10 @@ def classify_sweep(
     sizes are shared and each lane's floats differ slightly from a lone
     ``shoot``. Once every lane has H <= 0 the stack goes on to ``t_max`` in
     ``polar_field``, as ``shoot`` does, but only the samples the
-    classification reads are formed; the outcomes are the doubles of a
-    solve that forms them all. A grid with a lane that never traps runs in
-    (u, v) throughout. A stacked solve that fails is classified from its
-    partial trajectory, as ``shoot``'s is.
+    classification reads are formed. ``shoot`` classifies from the same
+    rows, so a one-lane sweep gives its record. A grid with a lane that
+    never traps runs in (u, v) throughout. A stacked solve that fails is
+    classified from its partial trajectory, as ``shoot``'s is.
     ``jobs`` is deprecated and ignored: the stacked solve is already
     faster than a process pool, and its output does not depend on it.
     """

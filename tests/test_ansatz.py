@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from diracorbits.ansatz import (
     EmptyTrajectory,
     InsufficientTail,
+    NonFiniteProfile,
     OriginEvaluation,
     PointOutOfRange,
     SpinorProfile,
@@ -264,6 +265,22 @@ def test_profile_needs_two_samples():
     with pytest.raises(EmptyTrajectory):
         SpinorProfile("autonomous", 3, np.array([1.0]), np.array([1.0]), np.array([0.5]),
                       default_gamma0(2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m, t_first", [(4, 474.0), (5, 355.0)])
+def test_a_profile_past_the_double_range_raises(m, t_first):
+    # a trapped tail grows like e^(t/2), and f1 = -u e^(lt) with it: at m = 4
+    # and 5 it passes 1.8e308 before the shoot ends at t = 710.48, which
+    # gave inf rows and an overflow warning
+    traj = shoot(DissipativeParams(m), 0.6, 2000.0).trajectory
+    with pytest.raises(NonFiniteProfile, match=rf"not finite at t = {t_first!r}$"):
+        profile_from_phase("dissipative", m, traj)
+    # the first t whatever the cause: a NaN state
+    states = np.array([[0.5, 0.5], [0.4, np.nan], [np.inf, 0.2]])
+    bad = Trajectory(np.array([0.0, 1.0, 2.0]), states, np.full(3, np.nan))
+    with pytest.raises(NonFiniteProfile, match=r"at t = 1\.0$"):
+        profile_from_phase("dissipative", 3, bad)
 
 
 def test_psi_abs_matches_eval_norm():

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, file formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,6 +382,47 @@ def test_stdout_equals_out_file(name, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 0
     assert captured.out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("t_max", ["10", "60", "2000"])
+def test_shoot_command_prints_the_shoot_record(t_max, monkeypatch, capsys):
+    # the command solves a one-lane sweep, which forms only the samples the
+    # record reads; at 2000 the solve fails at t = 710.48
+    from diracorbits import dissipative as dis
+
+    record = dis.shoot(dis.DissipativeParams(3), 0.6, float(t_max)).to_json_dict()
+    monkeypatch.setattr(dis, "shoot", None)
+    assert run("dissipative", "shoot", "--m", "3", "--mu", "0.6", "--t-max", t_max) == 0
+    assert capsys.readouterr().out == dumps(record)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("sub", ["profile", "decay"])
+def test_profile_past_the_double_range_is_one_error_line(sub, m, capsys):
+    # f1 = -u e^(lt) passes 1.8e308 on the tail: the profile printed inf
+    # rows and decay an exponent of null, each with an overflow warning
+    argv = ["ansatz", sub, "--source", "dissipative", "--m", str(m), "--mu", "0.6",
+            "--t-max", "2000", "--end", "infinity"]
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite at t = " in lines[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("t_max", ["700", "2000", "1e300"])
+def test_long_horizon_residual_falls_at_second_order(m, t_max, capsys):
+    # the residual shoots only as far as its points and stencils reach
+    # (t = 3), so its profile's samples lie 7.5e-4 apart at any horizon
+    assert run("ansatz", "residual", "--source", "dissipative", "--m", str(m), "--mu", "0.6",
+               "--t-max", t_max, "--h", "1e-2,5e-3,2.5e-3") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    r = [float(row.split(",")[1]) for row in rows]
+    orders = [math.log2(a / b) for a, b in zip(r, r[1:])]
+    assert len(orders) == 2 and all(1.8 <= x <= 2.2 for x in orders), orders
 
 
 def _reject_constant(name):
