@@ -20,6 +20,7 @@ from .numerics import (
     bracketed_roots,
     hermite,
     quad_chebyshev_endpoint,
+    sine_map,
 )
 
 __all__ = [
@@ -42,10 +43,19 @@ __all__ = [
 # K within this relative distance of the supremum k0 is treated as the
 # degenerate center orbit (the two turning radii merge).
 DEGENERATE_CUTOFF = 1e-10
-# Newton steps allowed per turning value: ~20 near the fold, a few elsewhere
+# Newton steps allowed per turning value: a few at every K
 NEWTON_MAX = 100
+# a fold lane's Newton start lies this far (relative to its offset from
+# y = 1) outside its bound, so rounding cannot put it inside the root
+FOLD_START_MARGIN = 1e-8
 # the half-period quadrature doubles its nodes until two estimates agree to this
 QUAD_TOL = 1e-12
+# the angle map theta = phi - a sin(phi) of a lane has slope 1 - a =
+# MAP_SCALE sqrt(tau_f) at phi = 0, at most 1, where tau_f = t0/(t1 - t0)
+# is the saddle passage's width in tau; the orbit table keeps the slope at
+# least ORBIT_MAP_SLOPE_MIN, so its Hermite's first knot has a finite slope
+MAP_SCALE = 3.0
+ORBIT_MAP_SLOPE_MIN = 1e-3
 # solutions_count samples eta at this many evenly spaced x = ln K, no lower
 # than SCAN_X_MIN, and refines its roots in x to this bracket width in at
 # most ROOT_MAX_STEPS steps
@@ -183,11 +193,17 @@ def _turning_values(params: AutonomousParams, K: np.ndarray) -> tuple[np.ndarray
     With y = s/s*, phi(s) = -(s*/p) G(y) for the convex G(y) = y^p - p y + q,
     q = p K/s*, and G'(1) = 0. Newton from the outer side of a root of a
     convex function moves monotonically onto it: from y = K/s* up to y0 and
-    from y = p^{m-1} (s = (m/2)^{m-1}, where phi = -K) down to y1. A lane
+    from Y = p^{m-1} (s = (m/2)^{m-1}, where phi = -K) down to y1. A lane
     stops once its step no longer moves it. Near the fold (K > K0/2) the
     terms of G cancel, so there G is evaluated as B(y) - c with
     B(y) = expm1(p ln y) - p (y - 1) and c = (p - 1)(s* - m K)/s*, where
     s* - m K is exact up to one rounding (K split into two 26-bit halves).
+    There G has a near-double root, which Newton approaches only linearly
+    from far out, so the fold lanes start close: B'' = p (p-1) y^{p-2} is
+    at least p (p-1) on (0, 1] and p (p-1) Y^{p-2} on [1, Y], so
+    y = 1 -+ sqrt(2c / (p (p-1) [Y^{p-2}])) lie on the outer sides of y0
+    and y1 (docs/decisions.md), and the starts sit FOLD_START_MARGIN of
+    that offset further out.
     """
     m, p = params.m, params.p
     s_star = params.lam ** (m - 1)
@@ -198,7 +214,10 @@ def _turning_values(params: AutonomousParams, K: np.ndarray) -> tuple[np.ndarray
     fold = np.tile(2 * K > k0(params), 2)
     c, q = np.tile(c, 2), np.tile(q, 2)
     rising = np.repeat([True, False], K.size)
-    y = np.concatenate([K / s_star, np.full(K.size, p ** (m - 1))])
+    Y = p ** (m - 1)
+    offset = (1 + FOLD_START_MARGIN) * np.sqrt(2 * c / (p * (p - 1)))
+    y = np.where(fold, 1 + offset * np.repeat([-1.0, Y ** (1 - p / 2)], K.size),
+                 np.concatenate([K / s_star, np.full(K.size, Y)]))
     for _ in range(NEWTON_MAX):
         ln_y = np.log(y)
         G = np.where(fold, np.expm1(p * ln_y) - p * (y - 1) - c, np.exp(p * ln_y) + (q - p * y))
@@ -238,19 +257,26 @@ def _integrand(params: AutonomousParams, K, t0, t1, tau: np.ndarray) -> np.ndarr
     return (m / 2) * t ** (m - 2) / np.sqrt(_pk_eval(params, K, t0, t1, t))
 
 
+def _map_slope(t0, t1):
+    """Slope 1 - a at phi = 0 of the angle map that resolves the saddle passage."""
+    return np.minimum(MAP_SCALE * np.sqrt(t0 / (t1 - t0)), 1.0)
+
+
 def _half_periods(params: AutonomousParams, K: np.ndarray) -> np.ndarray:
     """eta for an array of K in range: the kernel behind half_period and solutions_count.
 
-    One Chebyshev quadrature over the (K x nodes) array, at most
-    numerics.QUAD_BLOCK (K, node) pairs at a time; each K's value does not
-    depend on the others.
+    One mapped Chebyshev quadrature over the (K x nodes) array, at most
+    numerics.QUAD_BLOCK (K, node) pairs at a time. Each K's map comes from
+    its own saddle width tau_f = t0/(t1 - t0) (``_map_slope``), so its
+    value does not depend on the other K.
     """
     s0, s1 = _turning_values(params, K)
     e = 1 / (params.m - 1)
-    t0, t1, Kc = (s0 ** e)[:, None], (s1 ** e)[:, None], K[:, None]
+    t0, t1 = s0 ** e, s1 ** e
+    t0c, t1c, Kc = t0[:, None], t1[:, None], K[:, None]
     return quad_chebyshev_endpoint(
-        lambda tau, rows: _integrand(params, Kc[rows], t0[rows], t1[rows], tau),
-        K.size, tol=QUAD_TOL,
+        lambda tau, rows: _integrand(params, Kc[rows], t0c[rows], t1c[rows], tau),
+        K.size, tol=QUAD_TOL, slope=_map_slope(t0, t1),
     )
 
 
@@ -259,7 +285,12 @@ def half_period(params: AutonomousParams, K: float) -> float:
 
     The raw integral int_{s0}^{s1} dz / (2 lam sqrt(F_K)) is recast via
     z = t^{m-1} and t = t0 + (t1 - t0) tau into a Chebyshev-weight
-    integral of the regular factor (m/2) t^{m-2} / sqrt(P_K(t)).
+    integral of the regular factor (m/2) t^{m-2} / sqrt(P_K(t)). That
+    factor has a feature of width tau_f = t0/(t1 - t0) at tau = 0 (the
+    saddle passage), so the rule's angle is mapped, theta = phi - a sin phi
+    with 1 - a = min(1, 3 sqrt(tau_f)), which packs its nodes there: a is 0
+    near K0, and near the homoclinic loop the nodes grow like tau_f^(-1/6)
+    rather than tau_f^(-1/2).
 
     Time is the system's own variable t = -log r.  As K -> K0 the orbit
     shrinks onto the center, whose linearisation has frequency sqrt(m-1),
@@ -274,14 +305,16 @@ def half_period(params: AutonomousParams, K: float) -> float:
 def _orbit_table(params: AutonomousParams, K: float):
     """Time table of the K-orbit: (s0, s1, eta, at) with at(t) = (z, |w|) on [0, eta].
 
-    tau = (1 - cos theta)/2 = sin^2(theta/2) absorbs the endpoint weight of
-    the period integral, so dt/dtheta is the smooth factor g, an even 2 pi-periodic
-    function of theta: on a Lobatto grid of n + 1 points it is the cosine
-    series c_0/2 + sum c_k cos(k theta), whose integral
-    t = c_0 theta/2 + sum c_k sin(k theta)/k takes two FFTs, and t(pi) = eta
-    is the trapezoid rule. theta(t) is the cubic Hermite through the
-    knots (t_j, theta_j) with the exact slopes 1/g_j. n doubles until the
-    Hermite through every other knot gives z at the knots in between to
+    tau = sin^2(theta/2) absorbs the endpoint weight of the period
+    integral, and theta = sine_map(phi, slope) packs the knots near the
+    saddle passage at tau = 0, as in ``half_period`` but with the slope kept
+    at least ORBIT_MAP_SLOPE_MIN. So dt/dphi = g(tau) dtheta/dphi is an even
+    2 pi-periodic function of phi: on a Lobatto grid of n + 1 points it is
+    the cosine series c_0/2 + sum c_k cos(k phi), whose integral
+    t = c_0 phi/2 + sum c_k sin(k phi)/k takes two FFTs, and t(pi) = eta is
+    the trapezoid rule. phi(t) is the cubic Hermite through the knots
+    (t_j, phi_j) with the exact slopes dphi/dt. n doubles until the Hermite
+    through every other knot gives z at the knots in between to
     ORBIT_Z_TOL relative; the table then uses all knots.
 
     z and |w| = sqrt(F_K(z)) follow from theta in closed form: with
@@ -292,19 +325,24 @@ def _orbit_table(params: AutonomousParams, K: float):
     m = params.m
     s0, s1 = fk_zeros(params, K)
     t0, t1 = s0 ** (1 / (m - 1)), s1 ** (1 / (m - 1))
+    slope = max(float(_map_slope(t0, t1)), ORBIT_MAP_SLOPE_MIN)
+
+    def x_of(theta):
+        return t0 + (t1 - t0) * np.sin(theta / 2) ** 2
 
     def z_of(theta):
-        return (t0 + (t1 - t0) * np.sin(theta / 2) ** 2) ** (m - 1)
+        return x_of(theta) ** (m - 1)
 
     n = ORBIT_TABLE_MIN
     while n <= ORBIT_TABLE_MAX:
-        theta = np.arange(n + 1) * (np.pi / n)
-        g = _integrand(params, K, t0, t1, np.sin(theta / 2) ** 2)
+        phi = np.arange(n + 1) * (np.pi / n)
+        theta, dtheta = sine_map(phi, slope)
+        g = _integrand(params, K, t0, t1, np.sin(theta / 2) ** 2) * dtheta
         c = np.fft.rfft(np.concatenate([g, g[-2:0:-1]])).real / n
         b = np.zeros(2 * n)
         b[1:n] = c[1:n] / np.arange(1, n)
-        time = 0.5 * c[0] * theta - np.fft.rfft(b).imag
-        odd = hermite(time[::2], theta[::2], 1 / g[::2], time[1::2])
+        time = 0.5 * c[0] * phi - np.fft.rfft(b).imag
+        odd = sine_map(hermite(time[::2], phi[::2], 1 / g[::2], time[1::2]), slope)[0]
         if np.max(np.abs(z_of(odd) / z_of(theta[1::2]) - 1.0)) <= ORBIT_Z_TOL:
             break
         n *= 2
@@ -313,8 +351,8 @@ def _orbit_table(params: AutonomousParams, K: float):
                              f"within {ORBIT_TABLE_MAX} knots")
 
     def at(t):
-        th = hermite(time, theta, 1 / g, t)
-        x = t0 + (t1 - t0) * np.sin(th / 2) ** 2
+        th = sine_map(hermite(time, phi, 1 / g, t), slope)[0]
+        x = x_of(th)
         w = (t1 - t0) * np.sin(th) * np.sqrt(_pk_eval(params, K, t0, t1, x)) / m
         return np.clip(x ** (m - 1), s0, s1), w
 

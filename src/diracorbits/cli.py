@@ -278,6 +278,10 @@ def cmd_ansatz(args) -> int:
         low = radii.min() - ans.ambient_dim("dissipative", m) * max(args.h)
         if low > 0:
             t_max = min(t_max, math.ceil(max(math.log(4 / radii[0]), -math.log(low))))
+    if sub == "decay" and args.end == "infinity":
+        # the fit reads one decade, r in [0.1, 1], which a dissipative profile
+        # reaches by t = ln 10; a longer shoot moves none of it, only thins its samples
+        t_max = min(t_max, math.ceil(math.log(10.0)))
     profile = _profile_from_source(args, m, t_max)
     if sub == "profile":
         rows = zip(profile.r, profile.f1, profile.f2, profile.psi_abs)

@@ -31,6 +31,7 @@ __all__ = [
     "bracketed_roots",
     "find_root",
     "quad_chebyshev_endpoint",
+    "sine_map",
     "hermite",
     "ls_slope",
 ]
@@ -40,6 +41,9 @@ QUAD_BLOCK = 1 << 14
 # nodes of a quadrature's first estimate
 QUAD_MIN_NODES = 16
 EPS = np.finfo(float).eps
+# Taylor coefficients of phi - sin(phi), the phi^19 term first: the phi^21
+# term left out is below 1e-19 of the sum on phi < 1
+_PHI_MINUS_SIN = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(9, 0, -1))
 # stage nodes as Python floats and the rows A[s, :s] of the DOP853 tableau
 _C = _dop853.C.tolist()
 _A_ROWS = [_dop853.A[s, :s] for s in range(_dop853.N_STAGES_EXTENDED)]
@@ -438,29 +442,60 @@ def find_root(
     return float(x[0])
 
 
+def sine_map(phi, slope):
+    """theta = phi - a sin(phi) with a = 1 - slope, and dtheta/dphi = 1 - a cos(phi).
+
+    The map fixes 0 and pi; ``slope`` in (0, 1] is its slope at phi = 0,
+    and 1 is the identity. Near 0, theta ~ slope phi + a phi^3/6, so nodes
+    evenly spaced in phi lie 1/slope times closer together near theta = 0
+    than evenly spaced theta would, and like phi^3 once slope phi is the
+    smaller term (a = 1 is Sidi's sin^2 transformation). theta is formed
+    as slope phi + a (phi - sin(phi)), the second term from its Taylor
+    series below phi = 1, so it keeps its relative digits as phi -> 0;
+    dtheta/dphi = slope + 2 a sin^2(phi/2) has no cancellation either.
+    ``phi`` (an array) and ``slope`` broadcast.
+    """
+    x2 = phi * phi
+    series = 0.0
+    for c in _PHI_MINUS_SIN:
+        series = series * x2 + c
+    cubic = np.where(phi < 1.0, series * x2 * phi, phi - np.sin(phi))
+    a = 1.0 - slope
+    return slope * phi + a * cubic, slope + 2 * a * np.sin(phi / 2) ** 2
+
+
 def quad_chebyshev_endpoint(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lanes: int,
     tol: float = 1e-12,
     max_nodes: int = 1 << 21,
+    slope=1.0,
 ) -> np.ndarray:
     """Compute ``lanes`` weighted integrals of g(tau)/sqrt(tau*(1-tau)) over [0, 1].
 
-    Gauss-Chebyshev (first kind) after mapping to [-1, 1]; the node count
-    starts at QUAD_MIN_NODES and is doubled until two successive estimates
-    agree to ``tol``. With n nodes the rule is exact for polynomial g up to
-    degree 2n-1.
+    With tau = sin^2(theta/2) the integral is that of g over theta in
+    [0, pi], and with theta = sine_map(phi, slope) that of g times
+    dtheta/dphi over phi in [0, pi]: an even 2 pi-periodic integrand,
+    which the midpoint rule in phi integrates spectrally. At slope 1 this
+    is Gauss-Chebyshev (first kind), exact for polynomial g up to degree
+    2n-1 with n nodes; a smaller slope packs the nodes near tau = 0, where
+    g may have a feature narrower than the interval. ``slope`` is a
+    scalar, or an array of one value per lane. The node count starts at
+    QUAD_MIN_NODES and is doubled until two successive estimates agree to
+    ``tol``.
 
     ``g(tau, rows)`` gets nodes and an index array of lanes and returns a
-    (len(rows), len(tau)) array; the result is an array of ``lanes``
-    values. Each lane doubles until its own estimates agree; a call holds
-    at most QUAD_BLOCK (lane, node) pairs (one lane and a chunk of its n
-    nodes once n exceeds it), and a block's unsettled rows go on to 2n
-    before the other lanes at n, so a lane that cannot settle fails early.
-    A lane's value does not depend on the other lanes. A lane that does not
-    settle within ``max_nodes``, or whose estimate is not finite, raises
-    ``NonConvergence``.
+    (len(rows), n) array; tau has shape (n,) for a scalar ``slope`` and
+    (len(rows), n) for one slope per lane. The result is an array of
+    ``lanes`` values. Each lane doubles until its own estimates agree; a
+    call holds at most QUAD_BLOCK (lane, node) pairs (one lane and a chunk
+    of its n nodes once n exceeds it), and a block's unsettled rows go on
+    to 2n before the other lanes at n, so a lane that cannot settle fails
+    early. A lane's value does not depend on the other lanes. A lane that
+    does not settle within ``max_nodes``, or whose estimate is not finite,
+    raises ``NonConvergence``.
     """
+    slope = np.asarray(slope, dtype=float)
     est = np.full(lanes, np.nan)
     todo = [(np.arange(lanes), QUAD_MIN_NODES)]
     while todo:
@@ -471,14 +506,15 @@ def quad_chebyshev_endpoint(
         if rows.size > take:
             todo.append((rows[take:], n))
             rows = rows[:take]
+        b = slope if slope.ndim == 0 else slope[rows, None]
         # nodes in chunks of at most QUAD_BLOCK; the chunk sums are added
         # pairwise, numpy's own order for a row of 2^j nodes
         sums = []
         for lo in range(0, n, QUAD_BLOCK):
             k = np.arange(lo + 1, min(n, lo + QUAD_BLOCK) + 1)
-            # cos^2 of the half angle keeps tau's relative digits near 0
-            tau = np.cos((2 * k - 1) * np.pi / (4 * n)) ** 2
-            sums.append(np.asarray(g(tau, rows), dtype=float).sum(axis=1))
+            theta, dtheta = sine_map((2 * k - 1) * (np.pi / (2 * n)), b)
+            vals = np.asarray(g(np.sin(theta / 2) ** 2, rows), dtype=float)
+            sums.append((vals * dtheta).sum(axis=1))
         while len(sums) > 1:
             sums = [sum(sums[i:i + 2]) for i in range(0, len(sums), 2)]
         new = np.pi / n * sums[0]

@@ -27,7 +27,7 @@ from diracorbits.autonomous import (
     time_field,
 )
 from diracorbits.numerics import NonConvergence, Tolerances, bracketed_roots, integrate
-from oracles import bisect, fit_slope, tanh_sinh_quad, turning_values_mp
+from oracles import bisect, eta_agm, fit_slope, tanh_sinh_quad, turning_values_mp
 
 M3 = AutonomousParams(3)
 
@@ -172,6 +172,20 @@ def test_fk_zeros_match_40_digit_reference(m):
         assert abs(s1 - r1) <= 1e-14 * r1, (frac, s1, r1)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_fold_lanes_settle_in_a_few_newton_steps(m, monkeypatch):
+    # from y = K/s* and p^(m-1), lanes near K0 crept onto the near-double root
+    # of G in 18-19 steps; started at the curvature bounds, every lane of a
+    # scan to K0 (1 - 1e-8) settles within 10 and keeps its 40-digit value
+    monkeypatch.setattr(aut, "NEWTON_MAX", 10)
+    params = AutonomousParams(m)
+    Ks = np.concatenate([np.geomspace(1e-6, 1 - 1e-8, 48), 1 - np.geomspace(1e-9, 0.49, 16)])
+    s0, s1 = _turning_values(params, Ks * k0(params))
+    for K, a, b in zip(Ks * k0(params), s0, s1):
+        r0, r1 = turning_values_mp(m, float(K))
+        assert abs(a - r0) <= 1e-14 * r0 and abs(b - r1) <= 1e-14 * r1, (K, a, r0, b, r1)
+
+
 def test_fk_zeros_is_the_batched_entry():
     Ks = np.array(FOLD_FRACS) * k0(M3)
     s0, s1 = _turning_values(M3, Ks)
@@ -254,8 +268,42 @@ def test_half_period_is_the_kernel_lane_bit_for_bit(m):
     assert [half_period(params, float(K)) for K in Ks] == batched.tolist()
 
 
+# the decades of K/K0 down to which the mapped rule settles within 2^21 nodes
+REACH = {2: 29, 3: 57, 4: 85, 5: 112, 6: 140}
+
+
+def test_half_period_m2_is_the_agm_closed_form():
+    # eta = pi / AGM(1, 2 sqrt K) at m = 2, from 0.5 K0 down to the rule's
+    # edge; the unmapped rule was off by 2.3e-13 at 1e-9 K0 and raised below
+    params = AutonomousParams(2)
+    Ks = np.array([0.5] + [10.0 ** -e for e in range(1, REACH[2] + 1)]) * k0(params)
+    batched = _half_periods(params, Ks)
+    for K, eta in zip(Ks, batched):
+        ref = eta_agm(float(K))
+        assert abs(eta - ref) <= 1e-15 * ref, (K, eta, ref)
+        assert half_period(params, float(K)) == eta
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_half_period_matches_tanh_sinh_down_to_1e_12_k0(m):
+    # the oracle's own error grows to ~4e-14 at 1e-12 K0
+    params = AutonomousParams(m)
+    for e in range(1, 13):
+        K = 10.0 ** -e * k0(params)
+        got, ref = half_period(params, K), eta_oracle(params, K)
+        assert abs(got - ref) <= 1e-13 * ref, (e, got, ref)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_half_period_refuses_one_decade_past_its_reach(m):
+    params = AutonomousParams(m)
+    assert math.isfinite(half_period(params, 10.0 ** -REACH[m] * k0(params)))
+    with pytest.raises(NonConvergence):
+        half_period(params, 10.0 ** -(REACH[m] + 1) * k0(params))
+
+
 def test_unsettled_lane_raises_nonconvergence():
-    # at m = 2 the Chebyshev rule cannot resolve the saddle passage of an
+    # at m = 2 even the mapped rule cannot resolve the saddle passage of an
     # orbit this close to the homoclinic loop (t0 ~ 1e-30) within 2^21
     # nodes; one such lane fails the batch
     params = AutonomousParams(2)
@@ -285,6 +333,20 @@ def test_orbit_reconstruct_energy_and_range():
     assert np.all(np.diff(spec.z_samples) >= 0)
     assert abs(f_k(M3, 0.1, spec.s0)) < 1e-12
     assert abs(f_k(M3, 0.1, spec.s1)) < 1e-12
+
+
+def test_orbit_reconstruct_past_the_unmapped_reach():
+    # at m = 2, 1e-7 K0 the unmapped table did not settle within 2^20 knots;
+    # the mapped one gives the closed-form half-period and holds the level
+    params = AutonomousParams(2)
+    K = 1e-7 * k0(params)
+    spec, traj = orbit_reconstruct(params, K, n_samples=2001)
+    assert abs(spec.half_period - eta_agm(K)) <= 1e-13 * spec.half_period
+    assert abs(spec.half_period - half_period(params, K)) <= 1e-13 * spec.half_period
+    # H = -lam u v + z^2/4 is a difference of terms up to 1/4, so its error is absolute
+    assert np.max(np.abs(traj.energy - spec.energy)) <= 1e-15
+    assert spec.z_samples[0] == spec.s0 and spec.z_samples[-1] == spec.s1
+    assert np.all(np.diff(spec.z_samples) >= 0)
 
 
 def test_orbit_cross_validates_against_rk():
@@ -400,26 +462,42 @@ def test_solutions_count_roots_hit_target_relatively(m, T):
         assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
 
 
+def eta_two_term(m, K, t0):
+    """ln(2 m^(m-1)/K)/(m-1) + c_m t0, c_m = B(1 - p/2, -1/2)/(m (m-1)), for m >= 3."""
+    p = m / (m - 1)
+    c = math.gamma(1 - p / 2) * math.gamma(-0.5) / math.gamma(0.5 - p / 2) / (m * (m - 1))
+    return math.log(2 * m ** (m - 1) / K) / (m - 1) + c * t0
+
+
 @pytest.mark.parametrize("m,T", [(4, 8.0), (3, 12.0), (5, 6.0), (6, 10.0), (2, 15.0),
-                                 (2, 20.0), (2, 22.0)])
+                                 (2, 20.0), (2, 22.0), (2, 25.0), (3, 30.0), (6, 30.0)])
 def test_solutions_count_where_the_scan_reaches_tiny_k(m, T):
     # the scan reaches K ~ 1e-14 K0 and below, where an absolute tolerance
     # on the turning value s0 ~ K made the count raise or come out short;
-    # at (2, 20) and (2, 22) a floor far below the k = 1 root raised
+    # at (2, 20) and (2, 22) a floor far below the k = 1 root raised, and
+    # (2, 25), (3, 30) and (6, 30) lie past the unmapped rule's reach
     params = AutonomousParams(m)
     count, roots, _ = solutions_count(params, T)
     assert count == math.ceil(T * math.sqrt(m - 1) / math.pi)
     assert sorted(k for k, _ in roots) == list(range(1, count))
     for k, K in roots:
         assert abs(half_period(params, K) - T / k) <= 1e-11 * T / k
+    # the k = 1 root against the closed form at m = 2, and against the
+    # two-term asymptote (off by under 0.15 t0^2) from m = 3 on
+    K1 = dict(roots)[1]
+    if m == 2:
+        assert abs(eta_agm(K1) - T) <= 1e-12 * T
+    else:
+        t0 = fk_zeros(params, K1)[0] ** (1 / (m - 1))
+        assert abs(eta_two_term(m, K1, t0) - T) <= 0.15 * t0 ** 2 + 1e-12 * T
 
 
 def test_solutions_count_past_the_quadrature_reach_raises():
-    # the k = 1 root of (3, 30) lies near 1e-25 K0, where the Chebyshev
-    # rule cannot resolve the saddle passage: a typed error, not a count,
-    # that names T and the scan floor
-    with pytest.raises(NonConvergence, match=r"scan floor K = 2\.13312e-26, set by T = 30,"):
-        solutions_count(M3, 30.0)
+    # the k = 1 root of (3, 80) lies near 1e-68 K0, where even the mapped
+    # rule cannot resolve the saddle passage within 2^21 nodes: a typed
+    # error, not a count, that names T and the scan floor
+    with pytest.raises(NonConvergence, match=r"scan floor K = 7\.93536e-70, set by T = 80,"):
+        solutions_count(M3, 80.0)
 
 
 def test_count_past_the_quadrature_reach_names_the_clamped_floor():

@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import diracorbits
+from diracorbits import ansatz as ans
 from diracorbits import cli
+from diracorbits import dissipative as dis
 from diracorbits.cli import main
 from diracorbits.serialize import csv_text, dumps
 
@@ -82,13 +84,14 @@ def test_bad_value_exit_1():
 @pytest.mark.parametrize("argv", [
     # z = 2 mu^2 overflows at the initial state: NonFiniteState
     ["dissipative", "shoot", "--m", "3", "--mu", "1e200"],
-    # at m = 2 the Chebyshev rule cannot resolve the saddle passage of an
-    # orbit this close to the homoclinic loop: NonConvergence
+    # at m = 2 even the mapped Chebyshev rule cannot resolve the saddle
+    # passage of an orbit this close to the homoclinic loop: NonConvergence
     ["autonomous", "period", "--m", "2", "--K", "1e-30"],
     # K0 = ((m-1)/2)^(m-1)/m overflows a float: OverflowError
     ["autonomous", "period", "--m", "1000"],
     # the k = 1 root lies past the quadrature's reach: NonConvergence
-    ["autonomous", "bifurcation", "--m", "3", "--T", "50"],
+    # (T = 50, which the unmapped rule refused, now counts 23)
+    ["autonomous", "bifurcation", "--m", "3", "--T", "80"],
     # a T so large that the scan floor is clamped at K = 1e-280
     ["autonomous", "bifurcation", "--m", "3", "--T", "1e6"],
 ])
@@ -401,14 +404,45 @@ def test_shoot_command_prints_the_shoot_record(t_max, monkeypatch, capsys):
 @pytest.mark.parametrize("sub", ["profile", "decay"])
 def test_profile_past_the_double_range_is_one_error_line(sub, m, capsys):
     # f1 = -u e^(lt) passes 1.8e308 on the tail: the profile printed inf
-    # rows and decay an exponent of null, each with an overflow warning
+    # rows and decay an exponent of null, each with an overflow warning.
+    # decay --end infinity shoots only to t = 3, so its fit at the far end
+    # of the tail, --end zero, is the decay that meets the overflow
     argv = ["ansatz", sub, "--source", "dissipative", "--m", str(m), "--mu", "0.6",
-            "--t-max", "2000", "--end", "infinity"]
+            "--t-max", "2000", "--end", "zero"]
     assert run(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not finite at t = " in lines[0]
+
+
+def _decay(capsys, *argv):
+    code = run("ansatz", "decay", "--source", "dissipative", "--mu", "0.6", *argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decay_at_infinity_does_not_move_with_the_horizon(capsys):
+    # the fit reads r in [0.1, 1], t in [0, ln 10]: it read -0.25607 at
+    # --t-max 700 and -0.25510 at 1000, from the thinning samples of a
+    # longer shoot, and too few samples from 2000 on (exit 1)
+    outs = [_decay(capsys, "--end", "infinity", "--t-max", t)
+            for t in ("3", "20", "700", "2000", "1e300")]
+    assert all(code == 0 for code, _ in outs)
+    assert len({out for _, out in outs}) == 1
+    got = json.loads(outs[0][1])["exponent"]
+    # a shoot to t = 3 sampled ten times as densely
+    out = dis.shoot(dis.DissipativeParams(3), 0.6, 3.0, n_samples=40001)
+    ref = ans.decay_fit(ans.profile_from_phase("dissipative", 3, out.trajectory), "infinity")
+    assert abs(got - ref) <= 1e-4
+
+
+def test_decay_at_zero_fits_the_whole_shoot(capsys):
+    code, out = _decay(capsys, "--end", "zero", "--t-max", "20")
+    assert code == 0
+    shot = dis.shoot(dis.DissipativeParams(3), 0.6, 20.0)
+    ref = ans.decay_fit(ans.profile_from_phase("dissipative", 3, shot.trajectory), "zero")
+    assert json.loads(out)["exponent"] == ref
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
