@@ -401,11 +401,15 @@ def orbit_reconstruct(
 
     z = u^2 + v^2 obeys z' = -2 lam w with w = u^2 - v^2 and
     w^2 = F_K(z): time as a function of z is the cumulative half-period
-    integral, a sine series in the quadrature angle theta, inverted with a
-    cubic Hermite that has the exact slopes (``_orbit_table``). Over one
-    period z matches a DOP853 solve at rtol 1e-13 to within that solve's
-    own error (below 1e-10 relative for m = 2..5 down to K = 1e-3 K0), and
-    the spec's half_period agrees with ``half_period(params, K)`` to 1e-12.
+    integral, a sine series in the mapped quadrature angle phi
+    (theta = phi - a sin phi packs the knots at the saddle passage),
+    inverted with a cubic Hermite that has the exact slopes
+    (``_orbit_table``). Over one period z matches a DOP853 solve at rtol
+    1e-13 to within that solve's own error (below 1e-10 relative for
+    m = 2..5 down to K = 1e-3 K0), and the spec's half_period agrees with
+    ``half_period(params, K)`` to 1e-12. The table settles within its
+    2^20 knots down to 1e-12 K0 at m = 2 and 1e-24 K0 at m = 3, and
+    raises ``NonConvergence`` below.
     """
     _check_k(params, K)
     if n_samples < 8:
