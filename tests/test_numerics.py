@@ -20,6 +20,7 @@ from diracorbits.numerics import (
     integrate,
     ls_slope,
     quad_chebyshev_endpoint,
+    sine_map,
 )
 from diracorbits import _dop853, numerics
 from diracorbits.dissipative import DissipativeParams, hamiltonian_t, time_field
@@ -556,6 +557,39 @@ def test_chebyshev_nonfinite_lane_raises_at_once():
     with pytest.raises(NonConvergence):
         quad_chebyshev_endpoint(g, 3)
     assert calls == [16]
+
+
+def test_sine_map_keeps_relative_digits_near_zero():
+    # theta = phi - a sin(phi) against 40 digits, through the Taylor branch
+    # (phi < 1) and the direct one, with a = 0, 1 - 1e-3 and 1 - 1e-9
+    import mpmath as mp
+
+    phi = np.concatenate([np.geomspace(1e-9, 0.999, 40), np.linspace(1.0, math.pi, 20)])
+    for slope in (1.0, 1e-3, 1e-9):
+        theta, dtheta = sine_map(phi, slope)
+        with mp.workdps(40):
+            a = 1 - mp.mpf(slope)
+            for x, th, dth in zip(phi, theta, dtheta):
+                x = mp.mpf(float(x))
+                ref, dref = x - a * mp.sin(x), 1 - a * mp.cos(x)
+                assert abs(th - ref) <= 4 * np.finfo(float).eps * ref, (slope, x)
+                assert abs(dth - dref) <= 4 * np.finfo(float).eps * dref, (slope, x)
+    ends = sine_map(np.array([0.0, math.pi]), 1e-3)[0]
+    assert ends[0] == 0.0 and abs(ends[1] - math.pi) <= 4e-16 * math.pi
+
+
+def test_mapped_lanes_match_one_lane_calls_bit_for_bit():
+    # a lane's map is its own slope, so a lane's value does not depend on
+    # the other lanes; every slope integrates the same smooth integral
+    slopes = np.geomspace(1e-4, 1.0, 12)
+    lanes = quad_chebyshev_endpoint(lambda tau, rows: np.exp(-rows[:, None] * tau) / (1 + tau),
+                                    12, tol=1e-13, slope=slopes)
+    single = [float(quad_chebyshev_endpoint(
+        lambda tau, rows, j=j: np.exp(-j * tau) / (1 + tau), 1, tol=1e-13,
+        slope=slopes[j:j + 1])[0]) for j in range(12)]
+    assert lanes.tolist() == single
+    plain = quad_chebyshev_endpoint(_lane_integrand, 12, tol=1e-13)
+    assert np.allclose(lanes, plain, rtol=1e-13, atol=0)
 
 
 def test_hermite_reproduces_a_cubic_and_its_knots():
